@@ -239,7 +239,7 @@ def _run_synth(args) -> int:
     _atomic_write(os.path.join(args.out, "panel.csv"), serialize_panel(panel))
 
     regimes = {regime for _, regime in config.periods}
-    if regimes == {"baseline", "stressed"} or len(regimes) == 2:
+    if len(regimes) == 2:
         contrast = stress_contrast(config)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

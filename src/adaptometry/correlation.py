@@ -7,8 +7,6 @@ correlations is the stress index tracked across periods.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -200,14 +198,10 @@ def weight_series(
 
 
 def matrix_to_csv(matrix: CorrelationMatrix, decimals: int = 2) -> str:
-    """Render the matrix as CSV with an id header row/column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["indicator_id"] + [str(i) for i in matrix.indicator_ids])
-    for a, ind_id in enumerate(matrix.indicator_ids):
-        row = [str(ind_id)]
-        for b in range(matrix.n):
-            v = matrix.values[a, b]
-            row.append("" if math.isnan(v) else f"{v:.{decimals}f}")
-        writer.writerow(row)
-    return buf.getvalue()
+    """Render the matrix as CSV with an id header row/column; NaN is empty."""
+    fmt = f",%.{decimals}f" * matrix.n
+    lines = [",".join(["indicator_id", *map(str, matrix.indicator_ids)])]
+    for ind_id, row in zip(matrix.indicator_ids, matrix.values):
+        # "%f" renders NaN as "nan", and no number's text contains it
+        lines.append(f"{ind_id}" + (fmt % tuple(row.tolist())).replace(",nan", ","))
+    return "\n".join(lines) + "\n"

@@ -9,15 +9,13 @@ of minimal linear size at fixed volume).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .panel import IndicatorPanel, PeriodSlice, exclude_indicators, slice_period
+from .panel import IndicatorPanel, PeriodSlice, csv_field, exclude_indicators, slice_period
 
 
 @dataclass(frozen=True)
@@ -148,12 +146,9 @@ def dispersion_series(
 
 def distances_to_csv(summary: DispersionSummary, decimals: int = 2) -> str:
     """Render the symmetric distance matrix as CSV with unit labels."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit"] + list(summary.units))
-    for a, unit in enumerate(summary.units):
-        writer.writerow(
-            [unit] + [f"{summary.distance_matrix[a, b]:.{decimals}f}"
-                      for b in range(len(summary.units))]
-        )
-    return buf.getvalue()
+    fmt = f",%.{decimals}f" * len(summary.units)
+    labels = [csv_field(unit) for unit in summary.units]
+    lines = [",".join(["unit", *labels])]
+    for label, row in zip(labels, summary.distance_matrix):
+        lines.append(label + fmt % tuple(row.tolist()))
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -101,28 +100,35 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     Expected header: ``period,unit,indicator_id,indicator_name,value``.
     Lines starting with ``#`` are ignored. Ordering of periods, units and
     indicators follows first appearance. Every (period, unit, indicator)
-    combination must appear exactly once.
+    combination must appear exactly once. Rows are numbered by source line
+    and a row never spans lines; lines holding ``"`` are read with standard
+    CSV quoting.
     """
-    rows = iter(_numbered_rows(csv_text))
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise PanelError("empty input") from None
+    lines = enumerate(csv_text.splitlines(), start=1)
+    header = next((line for _, line in lines if not line.lstrip().startswith("#")), None)
+    if header is None:
+        raise PanelError("empty input")
+    header = next(csv.reader([header]))
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise PanelError(
             f"malformed header {header!r}, expected {','.join(CSV_HEADER)}"
         )
 
-    periods: list[str] = []
-    units: list[str] = []
-    indicators: dict[int, str] = {}
-    cells: dict[tuple[str, str, int], float] = {}
-    for lineno, row in rows:
-        if not row or all(not f.strip() for f in row):
+    indicators: dict[int, str] = {}  # id -> name
+    # label -> position, in first-appearance order
+    periods: dict[str, int] = {}
+    units: dict[str, int] = {}
+    ind_index: dict[int, int] = {}
+    cells: dict[tuple[int, int, int], float] = {}  # (period, unit, indicator) positions
+    for lineno, line in lines:
+        if "#" in line and line.lstrip().startswith("#"):
+            continue
+        row = next(csv.reader([line]), []) if '"' in line else line.split(",")
+        if not "".join(row).strip():
             continue
         if len(row) != 5:
             raise PanelError(f"row {lineno}: expected 5 fields, got {len(row)}")
-        period, unit, raw_id, name, raw_value = (f.strip() for f in row)
+        period, unit, raw_id, name, raw_value = map(str.strip, row)
         try:
             ind_id = int(raw_id)
         except ValueError:
@@ -131,47 +137,38 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
             value = float(raw_value)
         except ValueError:
             raise PanelError(f"row {lineno}: non-numeric value {raw_value!r}") from None
-        if not math.isfinite(value) or not 0.0 <= value <= 100.0:
+        if not 0.0 <= value <= 100.0:  # also false for NaN
             raise PanelError(f"row {lineno}: value {value} outside [0, 100]")
-        if period not in periods:
-            periods.append(period)
-        if unit not in units:
-            units.append(unit)
-        if ind_id not in indicators:
-            indicators[ind_id] = name
-        elif indicators[ind_id] != name:
-            raise PanelError(
-                f"row {lineno}: indicator {ind_id} renamed "
-                f"{indicators[ind_id]!r} -> {name!r}"
-            )
-        key = (period, unit, ind_id)
-        if key in cells:
-            raise PanelError(f"row {lineno}: duplicate cell {key}")
-        cells[key] = value
+        known = indicators.setdefault(ind_id, name)
+        if known != name:
+            raise PanelError(f"row {lineno}: indicator {ind_id} renamed {known!r} -> {name!r}")
+        cell = (
+            periods.setdefault(period, len(periods)),
+            units.setdefault(unit, len(units)),
+            ind_index.setdefault(ind_id, len(ind_index)),
+        )
+        if cell in cells:
+            raise PanelError(f"row {lineno}: duplicate cell {(period, unit, ind_id)}")
+        cells[cell] = value
 
     if not cells:
         raise PanelError("no data rows")
-    values = np.empty((len(periods), len(units), len(indicators)))
-    ind_ids = list(indicators)
-    for p_i, period in enumerate(periods):
-        for u_i, unit in enumerate(units):
-            for i_i, ind_id in enumerate(ind_ids):
-                try:
-                    values[p_i, u_i, i_i] = cells[(period, unit, ind_id)]
-                except KeyError:
-                    raise PanelError(
-                        f"missing cell (period={period}, unit={unit}, "
-                        f"indicator={ind_id})"
-                    ) from None
-    n_expected = len(periods) * len(units) * len(indicators)
-    if len(cells) != n_expected:
-        # dense fill succeeded yet extra cells exist: unreachable given the
-        # duplicate check, kept as a guard
-        raise PanelError("inconsistent cell count")
+    shape = (len(periods), len(units), len(indicators))
+    at = tuple(np.array(list(cells), dtype=np.intp).T)
+    seen = np.zeros(shape, dtype=bool)
+    seen[at] = True
+    if not seen.all():
+        p_i, u_i, i_i = np.unravel_index(np.argmin(seen), shape)  # first gap, C order
+        raise PanelError(
+            f"missing cell (period={list(periods)[p_i]}, unit={list(units)[u_i]}, "
+            f"indicator={list(indicators)[i_i]})"
+        )
+    values = np.empty(shape)
+    values[at] = list(cells.values())
     return IndicatorPanel(
         periods=tuple(periods),
         units=tuple(units),
-        indicators=tuple(Indicator(i, indicators[i]) for i in ind_ids),
+        indicators=tuple(Indicator(i, name) for i, name in indicators.items()),
         values=values,
     )
 
@@ -179,15 +176,16 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
 def serialize_panel(panel: IndicatorPanel) -> str:
     """Emit the panel in the same long-format CSV accepted by parse_panel."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for p_i, period in enumerate(panel.periods):
-        for u_i, unit in enumerate(panel.units):
-            for i_i, ind in enumerate(panel.indicators):
-                writer.writerow(
-                    [period, unit, ind.id, ind.name,
-                     _format_value(panel.values[p_i, u_i, i_i])]
-                )
+    buf.write(",".join(CSV_HEADER) + "\n")
+    units = [csv_field(unit) for unit in panel.units]
+    indicators = [f",{ind.id},{csv_field(ind.name)}," for ind in panel.indicators]
+    for period, block in zip(panel.periods, panel.values):
+        period = csv_field(period)
+        for unit, row in zip(units, block):
+            prefix = f"{period},{unit}"
+            buf.write("".join(
+                [f"{prefix}{ind}{_format_value(v)}\n" for ind, v in zip(indicators, row.tolist())]
+            ))
     return buf.getvalue()
 
 
@@ -195,11 +193,17 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
     """Check panel invariants; returns a report instead of raising.
 
     Errors: non-finite or out-of-range values, period labels not strictly
-    increasing, duplicate unit or indicator labels. Warnings: zero-variance
-    (period, indicator) pairs, for which Pearson correlation downstream is
-    undefined.
+    increasing or unusable as file names, duplicate unit or indicator labels,
+    fewer than 2 units. Warnings: zero-variance (period, indicator) pairs, for
+    which Pearson correlation downstream is undefined.
     """
     report = ValidationReport()
+    for period in panel.periods:
+        if period in ("", ".", "..") or "/" in period or "\\" in period:
+            report.errors.append((
+                f"period {period!r}",
+                "period labels name output files: not empty, '.' or '..', no '/' or '\\'",
+            ))
     for a, b in zip(panel.periods, panel.periods[1:]):
         if not a < b:
             report.errors.append(
@@ -209,6 +213,8 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
         report.errors.append(("units", "duplicate unit labels"))
     if len(set(panel.indicator_ids)) != panel.n_indicators:
         report.errors.append(("indicators", "duplicate indicator ids"))
+    if panel.n_units < 2:
+        report.errors.append(("units", f"need at least 2 units, got {panel.n_units}"))
     bad = ~np.isfinite(panel.values) | (panel.values < 0) | (panel.values > 100)
     for p_i, u_i, i_i in zip(*np.nonzero(bad)):
         report.errors.append(
@@ -218,7 +224,8 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
                 f"value {panel.values[p_i, u_i, i_i]} outside [0, 100]",
             )
         )
-    for p_i, period in enumerate(panel.periods):
+    # across fewer than 2 units every variance is zero, and the run fails anyway
+    for p_i, period in enumerate(panel.periods if panel.n_units >= 2 else ()):
         col_var = panel.values[p_i].var(axis=0)
         for i_i in np.nonzero(col_var == 0.0)[0]:
             report.warnings.append(
@@ -259,20 +266,12 @@ def slice_period(panel: IndicatorPanel, period: str) -> PeriodSlice:
     )
 
 
-def _numbered_rows(text: str) -> list[tuple[int, list[str]]]:
-    """Parse csv lines one by one, keeping source line numbers.
-
-    Comment lines (leading ``#``) are skipped. Quoted fields with embedded
-    newlines are not supported; none of the panel fields need them.
-    """
-    out: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.lstrip().startswith("#"):
-            continue
-        for row in csv.reader([line]):
-            out.append((lineno, row))
-    return out
+def csv_field(label: str) -> str:
+    """``label`` as ``csv.writer`` writes it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([label, ""])
+    return buf.getvalue()[:-2]
 
 
 def _format_value(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    return str(int(v)) if v.is_integer() else repr(v)

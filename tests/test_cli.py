@@ -90,6 +90,31 @@ class TestAnalyze:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_single_unit_exits_1_without_artifacts(self, tmp_path, capsys):
+        bad = tmp_path / "one.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            "2020,A,1,a,10\n2020,A,2,b,20\n2021,A,1,a,30\n2021,A,2,b,40\n"
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: units: need at least 2 units, got 1\n"
+        assert not out.exists()
+
+    def test_period_label_cannot_escape_out(self, tmp_path, capsys):
+        bad = tmp_path / "escape.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"../../escape,{u},{i},x{i},{10 * i + u}\n"
+                      for u in (1, 2, 3) for i in (1, 2))
+        )
+        out = tmp_path / "o" / "a" / "b"
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: period '../../escape': ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.csv"]
+
     def test_unknown_exclude_id_exits_2(self, panel_csv, tmp_path, capsys):
         code = main(
             ["analyze", "--input", str(panel_csv), "--exclude", "99",

@@ -162,6 +162,17 @@ class TestValidate:
         report = am.validate(bad)
         assert any("increasing" in msg for _, msg in report.errors)
 
+    def test_single_unit_is_error(self):
+        report = am.validate(am.parse_panel(MINIMAL))
+        assert report.errors == [("units", "need at least 2 units, got 1")]
+        assert report.warnings == []
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "../x", "a/b", "a\\b"])
+    def test_period_label_unusable_as_file_name_is_error(self, label):
+        p = small_panel(n_periods=1)
+        report = am.validate(am.IndicatorPanel((label,), p.units, p.indicators, p.values))
+        assert [loc for loc, _ in report.errors] == [f"period {label!r}"]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_flags_exactly_zero_variance_pairs(self, seed):
         rng = np.random.default_rng(200 + seed)
