@@ -8,6 +8,7 @@ alternative grouping axis.
 
 __version__ = "0.1.0"
 
+from .analysis import PeriodResult, analyze, dispersion_series, weight_series
 from .correlation import (
     CorrelationMatrix,
     CorrelationNetwork,
@@ -16,13 +17,11 @@ from .correlation import (
     degree_counts,
     pearson,
     threshold_gate,
-    weight_series,
 )
 from .dispersion import (
     DispersionSummary,
     ball_diameter,
     bounding_volume,
-    dispersion_series,
     distance_matrix,
     euclidean_distance,
     log_gamma_half_integer,

@@ -22,22 +22,10 @@ import tempfile
 from datetime import datetime, timezone
 
 from . import __version__
-from .correlation import (
-    CorrelationNetwork,
-    build_network,
-    correlation_matrix,
-    matrix_to_csv,
-)
-from .dispersion import DispersionSummary, dispersion_summary, distances_to_csv
-from .panel import (
-    IndicatorPanel,
-    PanelError,
-    exclude_indicators,
-    parse_panel,
-    serialize_panel,
-    slice_period,
-    validate,
-)
+from .analysis import PeriodResult, analyze
+from .correlation import matrix_to_csv
+from .dispersion import distances_to_csv
+from .panel import PanelError, parse_panel, serialize_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
     VariationError,
@@ -129,36 +117,20 @@ def _run_analyze(args) -> int:
         _err(f"error: --exclude ids not in panel: {sorted(unknown)}")
         return 2
 
-    reduced = exclude_indicators(panel, exclude)
-    networks: list[CorrelationNetwork] = []
-    dispersions: list[DispersionSummary] = []
-    for period in reduced.periods:
-        slice_ = slice_period(reduced, period)
-        networks.append(build_network(correlation_matrix(slice_), args.threshold))
-        dispersions.append(dispersion_summary(slice_))
-
-    os.makedirs(args.out, exist_ok=True)
-    os.makedirs(os.path.join(args.out, "matrices"), exist_ok=True)
-    os.makedirs(os.path.join(args.out, "distances"), exist_ok=True)
-    for period, net, disp in zip(reduced.periods, networks, dispersions):
-        _atomic_write(
-            os.path.join(args.out, "matrices", f"{period}.csv"),
-            matrix_to_csv(net.matrix),
-        )
-        _atomic_write(
-            os.path.join(args.out, "distances", f"{period}.csv"),
-            distances_to_csv(disp),
-        )
-
     flagged: list[int] = []
     if grouped_raw is not None:
-        table = parse_grouped_table(grouped_raw)
-        profile = variation_table(table, args.cv_estimator)
+        profile = variation_table(parse_grouped_table(grouped_raw), args.cv_estimator)
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
-        _atomic_write(
-            os.path.join(args.out, "variation.csv"),
-            profile_to_csv(profile, flagged),
-        )
+    results = analyze(panel, args.threshold, exclude)
+
+    os.makedirs(os.path.join(args.out, "matrices"), exist_ok=True)  # creates --out too
+    os.makedirs(os.path.join(args.out, "distances"), exist_ok=True)
+    for period, net, disp in results:
+        name = f"{period}.csv"
+        _atomic_write(os.path.join(args.out, "matrices", name), matrix_to_csv(net.matrix))
+        _atomic_write(os.path.join(args.out, "distances", name), distances_to_csv(disp))
+    if grouped_raw is not None:
+        _atomic_write(os.path.join(args.out, "variation.csv"), profile_to_csv(profile, flagged))
 
     doc = {
         "metadata": {
@@ -171,10 +143,7 @@ def _run_analyze(args) -> int:
             "flag_policy": args.flag_policy if grouped_raw is not None else None,
             "flagged_indicator_ids": flagged,
         },
-        "periods": [
-            _period_record(period, net, disp)
-            for period, net, disp in zip(reduced.periods, networks, dispersions)
-        ],
+        "periods": [_period_record(result) for result in results],
     }
     _atomic_write(
         os.path.join(args.out, "report.json"),
@@ -184,12 +153,12 @@ def _run_analyze(args) -> int:
     if args.plots:
         from .plots import line_chart
 
-        labels = list(reduced.periods)
+        labels = [r.period for r in results]
         _atomic_write(
             os.path.join(args.out, "weight.svg"),
             line_chart(
                 labels,
-                {"total weight": [net.total_weight for net in networks]},
+                {"total weight": [r.network.total_weight for r in results]},
                 "Correlation network total weight by period",
                 "total weight",
             ),
@@ -199,8 +168,8 @@ def _run_analyze(args) -> int:
             line_chart(
                 labels,
                 {
-                    "d_max": [d.d_max for d in dispersions],
-                    "d_min": [d.d_min for d in dispersions],
+                    "d_max": [r.dispersion.d_max for r in results],
+                    "d_min": [r.dispersion.d_min for r in results],
                 },
                 "Dispersion estimates by period",
                 "distance",
@@ -209,14 +178,13 @@ def _run_analyze(args) -> int:
     return 0
 
 
-def _period_record(period: str, net: CorrelationNetwork, disp: DispersionSummary) -> dict:
+def _period_record(result: PeriodResult) -> dict:
+    period, net, disp = result
     return {
         "period": period,
         "weight": net.total_weight,
         "edge_count": len(net.edges),
-        "edges": [
-            {"i": e.i, "j": e.j, "abs_r": e.weight} for e in net.edges
-        ],
+        "edges": [{"i": e.i, "j": e.j, "abs_r": e.weight} for e in net.edges],
         "degrees": {str(i): d for i, d in net.degrees.items()},
         "d_min": disp.d_min,
         "d_max": disp.d_max,
@@ -268,12 +236,21 @@ def _parse_id_list(spec: str) -> set[int]:
 
 
 def _read_file(path: str) -> str | None:
+    """Text with universal newlines, or None (error printed) if it cannot be opened."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         _err(f"error: cannot read {path}: {exc.strerror}")
         return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PanelError(
+            f"cannot read {path}: not UTF-8 text "
+            f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _atomic_write(path: str, content: str) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import IndicatorPanel, PanelError, PeriodSlice, exclude_indicators, slice_period
+from .panel import PeriodSlice
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -113,7 +113,6 @@ def correlation_matrix(
         bad = [slice_.indicator_ids[k] for k in degenerate]
         raise ZeroVarianceError(f"zero-variance indicators: {bad}")
     values = np.full((n, n), np.nan)
-    undefined: set[tuple[int, int]] = set()
     ok = np.nonzero(ss > 0.0)[0]
     if ok.size:
         sub = centered[:, ok]
@@ -123,17 +122,12 @@ def correlation_matrix(
         np.clip(corr, -1.0, 1.0, out=corr)
         np.fill_diagonal(corr, 1.0)
         values[np.ix_(ok, ok)] = corr
-    for a in degenerate:
-        for b in range(n):
-            if b == a:
-                continue
-            ida, idb = slice_.indicator_ids[a], slice_.indicator_ids[b]
-            undefined.add((min(ida, idb), max(ida, idb)))
-    return CorrelationMatrix(
-        indicator_ids=tuple(slice_.indicator_ids),
-        values=values,
-        undefined_pairs=frozenset(undefined),
+    ids = slice_.indicator_ids
+    undefined = frozenset(
+        (min(ids[a], ids[b]), max(ids[a], ids[b]))
+        for a in degenerate.tolist() for b in range(n) if b != a
     )
+    return CorrelationMatrix(indicator_ids=tuple(ids), values=values, undefined_pairs=undefined)
 
 
 def build_network(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> CorrelationNetwork:
@@ -145,19 +139,14 @@ def build_network(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> C
     if not 0.0 < r0 < 1.0:
         raise ValueError(f"threshold {r0} outside (0, 1)")
     ids = matrix.indicator_ids
-    edges: list[Edge] = []
-    degrees = {i: 0 for i in ids}
-    total = 0.0
-    for a in range(matrix.n):
-        for b in range(a + 1, matrix.n):
-            r = matrix.values[a, b]
-            if math.isnan(r) or abs(r) <= r0:
-                continue
-            w = abs(float(r))
-            edges.append(Edge(ids[a], ids[b], w))
-            degrees[ids[a]] += 1
-            degrees[ids[b]] += 1
-            total += w
+    a, b = np.triu_indices(matrix.n, k=1)  # row-major: the edge order of the report
+    weights = np.abs(matrix.values[a, b])
+    keep = weights > r0  # False for undefined (NaN) pairs
+    a, b, weights = a[keep], b[keep], weights[keep]
+    edges = [Edge(ids[i], ids[j], w) for i, j, w in zip(a.tolist(), b.tolist(), weights.tolist())]
+    degrees = dict(zip(ids, np.bincount(np.concatenate([a, b]), minlength=matrix.n).tolist()))
+    # left to right in edge order: np.sum adds pairwise and changes the last digits
+    total = float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
     return CorrelationNetwork(
         matrix=matrix,
         threshold=r0,
@@ -181,20 +170,6 @@ def degree_counts(
         raise ValueError(f"unknown indicator ids: {sorted(unknown)}")
     counts = {i: network.degrees[i] for i in report_ids}
     return counts, sum(counts.values())
-
-
-def weight_series(
-    panel: IndicatorPanel,
-    r0: float = DEFAULT_THRESHOLD,
-    exclude: Iterable[int] = (),
-) -> list[tuple[str, float]]:
-    """Total network weight per period, after excluding the given indicators."""
-    reduced = exclude_indicators(panel, exclude)
-    out = []
-    for period in reduced.periods:
-        net = build_network(correlation_matrix(slice_period(reduced, period)), r0)
-        out.append((period, net.total_weight))
-    return out
 
 
 def matrix_to_csv(matrix: CorrelationMatrix, decimals: int = 2) -> str:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .panel import IndicatorPanel, PeriodSlice, csv_field, exclude_indicators, slice_period
+from .panel import PeriodSlice, csv_field
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,11 @@ def max_distance(slice_: PeriodSlice) -> float:
 def bounding_volume(slice_: PeriodSlice) -> float:
     """Volume of the axis-aligned bounding box: product of per-indicator ranges.
 
-    Overflows to inf for large indicator counts with wide ranges; use
-    log_bounding_volume where that matters.
+    Taken from log_bounding_volume, so it is inf where the product exceeds
+    double range.
     """
-    amplitudes = slice_.matrix.max(axis=0) - slice_.matrix.min(axis=0)
-    return float(np.prod(amplitudes))
+    log_v = log_bounding_volume(slice_)
+    return math.exp(log_v) if log_v < 709 else math.inf
 
 
 def log_bounding_volume(slice_: PeriodSlice) -> float:
@@ -129,19 +129,11 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
         units=slice_.units,
         distance_matrix=dm,
         d_max=float(dm.max()),
-        volume=math.exp(log_v) if log_v < 709 else math.inf,
+        volume=bounding_volume(slice_),
         log_volume=log_v,
         d_min=ball_diameter_from_log(log_v, slice_.n_indicators),
         n_indicators=slice_.n_indicators,
     )
-
-
-def dispersion_series(
-    panel: IndicatorPanel, exclude: Iterable[int] = ()
-) -> list[DispersionSummary]:
-    """One DispersionSummary per period, after excluding the given indicators."""
-    reduced = exclude_indicators(panel, exclude)
-    return [dispersion_summary(slice_period(reduced, p)) for p in reduced.periods]
 
 
 def distances_to_csv(summary: DispersionSummary, decimals: int = 2) -> str:

@@ -105,10 +105,10 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     CSV quoting.
     """
     lines = enumerate(csv_text.splitlines(), start=1)
-    header = next((line for _, line in lines if not line.lstrip().startswith("#")), None)
-    if header is None:
+    first = next(((n, line) for n, line in lines if not line.lstrip().startswith("#")), None)
+    if first is None:
         raise PanelError("empty input")
-    header = next(csv.reader([header]))
+    header = _csv_row(*first)
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise PanelError(
             f"malformed header {header!r}, expected {','.join(CSV_HEADER)}"
@@ -123,7 +123,7 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     for lineno, line in lines:
         if "#" in line and line.lstrip().startswith("#"):
             continue
-        row = next(csv.reader([line]), []) if '"' in line else line.split(",")
+        row = _csv_row(lineno, line) if '"' in line else line.split(",")
         if not "".join(row).strip():
             continue
         if len(row) != 5:
@@ -240,6 +240,8 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
 def exclude_indicators(panel: IndicatorPanel, ids: Iterable[int]) -> IndicatorPanel:
     """Return a panel with the given indicator columns removed everywhere."""
     ids = set(ids)
+    if not ids:
+        return panel  # immutable, so no copy is needed
     unknown = ids - set(panel.indicator_ids)
     if unknown:
         raise PanelError(f"unknown indicator ids: {sorted(unknown)}")
@@ -271,6 +273,13 @@ def csv_field(label: str) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([label, ""])
     return buf.getvalue()[:-2]
+
+
+def _csv_row(lineno: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error as exc:  # a quoted field longer than csv.field_size_limit()
+        raise PanelError(f"row {lineno}: {exc}") from None
 
 
 def _format_value(v: float) -> str:

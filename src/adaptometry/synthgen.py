@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .analysis import analyze
 from .panel import Indicator, IndicatorPanel
 
 REGIMES = ("baseline", "stressed")
@@ -108,21 +109,14 @@ def stress_contrast(config: SynthConfig, r0: float = 0.7) -> StressContrast:
     Returns regime means of the network total weight and of d_max; requires
     at least one baseline and one stressed period.
     """
-    from .correlation import build_network, correlation_matrix
-    from .dispersion import max_distance
-    from .panel import slice_period
-
     regimes = [regime for _, regime in config.periods]
     if "baseline" not in regimes or "stressed" not in regimes:
         raise SynthConfigError("need at least one baseline and one stressed period")
-    panel = generate_panel(config)
     w = {"baseline": [], "stressed": []}
     d = {"baseline": [], "stressed": []}
-    for (label, regime) in config.periods:
-        slice_ = slice_period(panel, label)
-        net = build_network(correlation_matrix(slice_), r0)
-        w[regime].append(net.total_weight)
-        d[regime].append(max_distance(slice_))
+    for regime, result in zip(regimes, analyze(generate_panel(config), r0)):
+        w[regime].append(result.network.total_weight)
+        d[regime].append(result.dispersion.d_max)
     return StressContrast(
         w_baseline=float(np.mean(w["baseline"])),
         w_stressed=float(np.mean(w["stressed"])),

@@ -180,17 +180,19 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
     lines = [
         ln for ln in csv_text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    reader = csv.reader(lines)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise VariationError("empty input") from None
+        rows = list(csv.reader(lines))
+    except csv.Error as exc:  # a quoted field longer than csv.field_size_limit()
+        raise VariationError(str(exc)) from None
+    if not rows:
+        raise VariationError("empty input")
+    header = rows[0]
     if tuple(h.strip() for h in header) != ("indicator_id", "group", "value"):
         raise VariationError(f"malformed header {header!r}")
     cells: dict[tuple[int, str], float] = {}
     ids: list[int] = []
     groups: list[str] = []
-    for row in reader:
+    for row in rows[1:]:
         if len(row) != 3:
             raise VariationError(f"expected 3 fields, got {row!r}")
         try:

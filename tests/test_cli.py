@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -17,6 +19,12 @@ loading_stressed = 15.0
 variance_multiplier = 2.0
 seed = 7
 """
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _mask_timestamp(report: str) -> str:
+    return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', report)
 
 
 @pytest.fixture
@@ -62,6 +70,16 @@ class TestAnalyze:
             "d_min", "d_max", "volume", "log_volume",
         }
         assert record["edge_count"] == len(record["edges"])
+
+    def test_reference_report_matches_golden(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", str(DATA / "ukraine_fears_panel.csv"), "--exclude", "17,19",
+             "--grouped", str(DATA / "political_groups.csv"), "--out", str(out)]
+        )
+        assert code == 0
+        got = _mask_timestamp((out / "report.json").read_text())
+        assert got == _mask_timestamp((DATA / "expected_report.json").read_text())
 
     def test_exclude_flag(self, panel_csv, tmp_path):
         out = tmp_path / "out"
@@ -114,6 +132,49 @@ class TestAnalyze:
         assert err.startswith("error: period '../../escape': ")
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.csv"]
+
+    def test_bad_flag_policy_writes_nothing(self, panel_csv, grouped_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", str(panel_csv), "--grouped", str(grouped_csv),
+             "--flag-policy", "bogus", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown flag policy 'bogus'\n"
+        assert not out.exists()
+
+    def test_bad_grouped_row_writes_nothing(self, panel_csv, tmp_path, capsys):
+        grouped = tmp_path / "grouped.csv"
+        grouped.write_text("indicator_id,group,value\n1,g1,abc\n")
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", str(panel_csv), "--grouped", str(grouped), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: bad row ['1', 'g1', 'abc']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--input", "--grouped"])
+    def test_non_utf8_file_exits_1(self, panel_csv, tmp_path, capsys, flag):
+        data = b"period,unit,indicator_id,indicator_name,value\n2020,A\xff,1,a,10\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        out = tmp_path / "out"
+        argv = {"--input": str(panel_csv), flag: str(bad), "--out": str(out)}
+        assert main(["analyze", *(x for kv in argv.items() for x in kv)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: not UTF-8 text (byte 0xff at offset {data.index(0xff)})\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_newlines_read_as_in_text_mode(self, panel_csv, panel_text, tmp_path, newline):
+        other = tmp_path / "other.csv"
+        other.write_bytes(panel_text.replace("\n", newline).encode())
+        main(["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "a")])
+        main(["analyze", "--input", str(other), "--out", str(tmp_path / "b")])
+        reports = [_mask_timestamp((tmp_path / d / "report.json").read_text()) for d in "ab"]
+        assert reports[0] == reports[1]
 
     def test_unknown_exclude_id_exits_2(self, panel_csv, tmp_path, capsys):
         code = main(
@@ -203,6 +264,15 @@ class TestSynth:
         seed, wb, ws, db, ds = lines[1].split(",")
         assert float(ws) > float(wb)
         assert float(ds) > float(db)
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_bytes(b"units = 4\xff\n")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {config}: not UTF-8 text (byte 0xff at offset 9)\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"

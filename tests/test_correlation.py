@@ -203,6 +203,40 @@ class TestBuildNetwork:
         assert net_p.total_weight == pytest.approx(net.total_weight, abs=1e-9)
         assert net_p.degrees == net.degrees
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pair_loop_exactly(self, seed):
+        # a one-factor panel with some constant columns: many edges, some undefined pairs
+        rng = np.random.default_rng(7000 + seed)
+        m, n = int(rng.integers(3, 40)), int(rng.integers(2, 60))
+        values = rng.normal(0, float(rng.uniform(0.5, 5)), (m, 1)) + rng.normal(0, 1, (m, n))
+        values[:, rng.random(n) < 0.1] = 3.0
+        ids = tuple(int(i) for i in rng.choice(1000, n, replace=False))
+        mat = am.correlation_matrix(am.PeriodSlice("p", tuple(range(m)), ids, values))
+        r0 = float(rng.uniform(0.05, 0.95))
+        edges, degrees, total = [], {i: 0 for i in ids}, 0.0
+        for a in range(n):
+            for b in range(a + 1, n):
+                r = mat.values[a, b]
+                if math.isnan(r) or abs(r) <= r0:
+                    continue
+                edges.append((ids[a], ids[b], abs(float(r))))
+                degrees[ids[a]] += 1
+                degrees[ids[b]] += 1
+                total += abs(float(r))
+        net = am.build_network(mat, r0)
+        assert [tuple(e) for e in net.edges] == edges
+        assert all(type(x) is type(y) for e, f in zip(net.edges, edges) for x, y in zip(e, f))
+        assert list(net.degrees.items()) == list(degrees.items())
+        assert all(type(d) is int for d in net.degrees.values())
+        assert repr(net.total_weight) == repr(total)
+
+    def test_threshold_is_strict_for_both_signs(self):
+        values = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, -0.50001], [-0.5, -0.50001, 1.0]])
+        net = am.build_network(am.CorrelationMatrix((1, 2, 3), values, frozenset()), 0.5)
+        assert [tuple(e) for e in net.edges] == [(2, 3, 0.50001)]
+        assert net.degrees == {1: 0, 2: 1, 3: 1}
+        assert net.total_weight == 0.50001
+
     def test_degree_parity_reference_panel(self, panel):
         for period in panel.periods:
             net = am.build_network(am.correlation_matrix(am.slice_period(panel, period)))

@@ -130,6 +130,15 @@ class TestBoundingVolume:
             oracle_volume(s.matrix.tolist()), rel=1e-12
         )
 
+    def test_overflow_is_inf_without_warning(self):
+        # 90**200 exceeds double range; the product form overflowed with a RuntimeWarning
+        matrix = np.vstack([np.zeros(200), np.full(200, 90.0)])
+        s = am.PeriodSlice("p", ("a", "b"), tuple(range(1, 201)), matrix)
+        assert am.bounding_volume(s) == math.inf
+        summary = dispersion_summary(s)
+        assert summary.volume == math.inf
+        assert summary.log_volume == pytest.approx(200 * math.log(90.0), rel=1e-12)
+
     def test_log_volume_consistent(self, panel):
         s = am.slice_period(panel, "2009-08")
         assert log_bounding_volume(s) == pytest.approx(

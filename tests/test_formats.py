@@ -125,6 +125,14 @@ PARSE_ERRORS = {
         "\n" + HEADER,
         "malformed header [], expected period,unit,indicator_id,indicator_name,value",
     ),
+    "oversized quoted field": (
+        PREAMBLE + '2020,"' + "x" * 140_000 + '",2,b,20\n',
+        "row 6: field larger than field limit (131072)",
+    ),
+    "oversized quoted header": (
+        "# source: test\n" + '"' + "x" * 140_000 + '",unit\n',
+        "row 2: field larger than field limit (131072)",
+    ),
     "empty": ("# only\n", "empty input"),
     "no data": (HEADER + "#x\n, ,\n", "no data rows"),
 }

@@ -96,6 +96,7 @@ class TestExclude:
         same = am.exclude_indicators(panel, set())
         assert same.indicators == panel.indicators
         assert np.array_equal(same.values, panel.values)
+        assert same is panel  # immutable, so nothing is copied
 
     def test_unknown_id(self, panel):
         with pytest.raises(PanelError, match="99"):

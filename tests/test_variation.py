@@ -132,6 +132,19 @@ class TestFlagExclusions:
             assert am.flag_exclusions(profile, f"topk:{k}") == set(profile.ranking[:k])
 
 
+GROUPED_HEADER = "indicator_id,group,value\n"
+GROUPED_ERRORS = {
+    "empty": ("# only\n\n", "empty input"),
+    "field count": (GROUPED_HEADER + "1,a,3,4\n", "expected 3 fields, got ['1', 'a', '3', '4']"),
+    "value": (GROUPED_HEADER + "1,g1,abc\n", "bad row ['1', 'g1', 'abc']"),
+    "duplicate": (GROUPED_HEADER + "1,a,3\n1,a,4\n", "duplicate cell (1, 'a')"),
+    "oversized quoted field": (
+        GROUPED_HEADER + '1,"' + "x" * 140_000 + '",3\n',
+        "field larger than field limit (131072)",
+    ),
+}
+
+
 class TestGroupedTableIO:
     def test_parse_reference_table(self, grouped_table):
         assert grouped_table.indicator_ids == tuple(range(1, 20))
@@ -146,6 +159,12 @@ class TestGroupedTableIO:
     def test_parse_rejects_bad_header(self):
         with pytest.raises(VariationError, match="header"):
             parse_grouped_table("id,grp,v\n1,a,3\n")
+
+    @pytest.mark.parametrize("text,message", GROUPED_ERRORS.values(), ids=GROUPED_ERRORS.keys())
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(VariationError) as info:
+            parse_grouped_table(text)
+        assert str(info.value) == message
 
     def test_profile_csv(self, grouped_table):
         profile = am.variation_table(grouped_table, "unnormalized")
