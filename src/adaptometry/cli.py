@@ -116,6 +116,9 @@ def _run_analyze(args) -> int:
     if unknown:
         _err(f"error: --exclude ids not in panel: {sorted(unknown)}")
         return 2
+    if set(exclude) >= set(panel.indicator_ids):
+        _err("error: --exclude leaves no indicators")
+        return 2
 
     flagged: list[int] = []
     if grouped_raw is not None:

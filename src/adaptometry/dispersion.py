@@ -41,14 +41,34 @@ def euclidean_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return float(np.linalg.norm(u - v))
 
 
+# Elements in one block's difference temporary; blocks of 2**18 and 2**20
+# were slower on 300 x 150 slices.
+_BLOCK_ELEMENTS = 2**16
+
+
 def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
-    """All pairwise unit distances over the slice's indicators."""
-    m = slice_.n_units
+    """All pairwise unit distances over the slice's indicators.
+
+    Walks the upper triangle in blocks of rows and mirrors each block, so
+    memory is the (m, m) result plus one temporary of at most
+    max(_BLOCK_ELEMENTS, m * n) elements. Each entry is one sum of squares
+    over the indicator axis, and (a-b)**2 == (b-a)**2 exactly, so the matrix
+    is bit-identical to the full broadcast form.
+    """
+    pts = slice_.matrix
+    m, n = pts.shape
     if m < 2:
         raise ValueError("need at least 2 units")
-    pts = slice_.matrix
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    out = np.empty((m, m))
+    rows = max(1, _BLOCK_ELEMENTS // max(m * n, 1))
+    for s in range(0, m, rows):
+        e = min(s + rows, m)
+        diff = pts[s:e, None, :] - pts[None, s:, :]
+        np.multiply(diff, diff, out=diff)
+        block = np.sqrt(diff.sum(axis=2))
+        out[s:e, s:] = block
+        out[s:, s:e] = block.T
+    return out
 
 
 def max_distance(slice_: PeriodSlice) -> float:

@@ -190,8 +190,8 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
     if tuple(h.strip() for h in header) != ("indicator_id", "group", "value"):
         raise VariationError(f"malformed header {header!r}")
     cells: dict[tuple[int, str], float] = {}
-    ids: list[int] = []
-    groups: list[str] = []
+    ids: dict[int, int] = {}
+    groups: dict[str, int] = {}
     for row in rows[1:]:
         if len(row) != 3:
             raise VariationError(f"expected 3 fields, got {row!r}")
@@ -201,10 +201,8 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
         except ValueError:
             raise VariationError(f"bad row {row!r}") from None
         group = row[1].strip()
-        if ind_id not in ids:
-            ids.append(ind_id)
-        if group not in groups:
-            groups.append(group)
+        ids.setdefault(ind_id, len(ids))
+        groups.setdefault(group, len(groups))
         key = (ind_id, group)
         if key in cells:
             raise VariationError(f"duplicate cell {key}")

@@ -184,6 +184,14 @@ class TestAnalyze:
         assert code == 2
         assert "99" in capsys.readouterr().err
 
+    def test_excluding_every_indicator_exits_2(self, panel_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        every = ",".join(str(i) for i in range(1, 20))
+        code = main(["analyze", "--input", str(panel_csv), "--exclude", every, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --exclude leaves no indicators\n"
+        assert not out.exists()
+
     def test_bad_threshold_exits_2(self, panel_csv, tmp_path):
         code = main(
             ["analyze", "--input", str(panel_csv), "--threshold", "1.5",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,50 @@ class TestDistanceMatrix:
             for b in range(m):
                 for c in range(m):
                     assert dm[a, c] <= dm[a, b] + dm[b, c] + 1e-9
+
+    # blocks hold 2**16 differences, so rows per block = max(1, 2**16 // (m * n))
+    BLOCKED_SHAPES = {
+        "partial last block": (100, 20),  # 32 rows per block, last block 4 rows
+        "one row per block": (40, 2000),
+        "two units": (2, 5),
+        "two units, one row per block": (2, 40_000),
+        "one indicator": (500, 1),  # 131 rows per block, last block 107 rows
+    }
+
+    @pytest.mark.parametrize("m,n", BLOCKED_SHAPES.values(), ids=BLOCKED_SHAPES.keys())
+    def test_blocked_kernel_matches_broadcast_exactly(self, m, n):
+        s = random_slice(m * n, m=m, n=n)
+        diff = s.matrix[:, None, :] - s.matrix[None, :, :]  # the (m, m, n) reference form
+        assert np.array_equal(am.distance_matrix(s), np.sqrt((diff * diff).sum(axis=2)))
+
+    @pytest.mark.parametrize("m,n", BLOCKED_SHAPES.values(), ids=BLOCKED_SHAPES.keys())
+    def test_blocked_kernel_matches_oracle(self, m, n):
+        s = random_slice(m * n + 1, m=m, n=n)
+        dm = am.distance_matrix(s)
+        rows = s.matrix.tolist()
+        for a in range(m):
+            for b in range(a, m):
+                expected = oracle_distance(rows[a], rows[b])
+                assert dm[a, b] == dm[b, a] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    def test_no_indicators_gives_zeros(self):
+        s = am.PeriodSlice("p", ("a", "b", "c"), (), np.empty((3, 0)))
+        dm = am.distance_matrix(s)
+        assert dm.shape == (3, 3)
+        assert not dm.any()
+
+    def test_memory_is_quadratic_in_units_only(self):
+        # numpy reports its buffers to tracemalloc; an (m, m, n) temporary here is 192 MB
+        m, n = 400, 150
+        s = random_slice(3, m=m, n=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            am.distance_matrix(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 + 4 * 2**20
 
     def test_csv_export(self, panel):
         summary = dispersion_summary(am.slice_period(panel, "2009-08"))

@@ -151,6 +151,20 @@ class TestGroupedTableIO:
         assert grouped_table.groups == tuple("ABCDEFG")
         assert grouped_table.values[3].tolist() == list(FEAR4_BY_PARTY)
 
+    def test_parse_keeps_first_appearance_order(self):
+        rng = np.random.default_rng(5)
+        ids = [int(i) for i in rng.permutation(10_000)[:2000]]
+        groups = ["g7", "g2", "g5", "g0", "g3"]
+        rows = [(i, g, float(k)) for k, (i, g) in enumerate((i, g) for i in ids for g in groups)]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        text = "indicator_id,group,value\n" + "".join(f"{i},{g},{v}\n" for i, g, v in rows)
+        table = parse_grouped_table(text)
+        assert table.indicator_ids == tuple(dict.fromkeys(i for i, _, _ in rows))
+        assert table.groups == tuple(dict.fromkeys(g for _, g, _ in rows))
+        at = {(i, g): v for i, g, v in rows}
+        expected = [[at[(i, g)] for g in table.groups] for i in table.indicator_ids]
+        assert table.values.tolist() == expected
+
     def test_parse_rejects_missing_cell(self):
         text = "indicator_id,group,value\n1,a,3\n1,b,4\n2,a,5\n"
         with pytest.raises(VariationError, match="missing"):
