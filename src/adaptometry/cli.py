@@ -148,10 +148,7 @@ def _run_analyze(args) -> int:
         },
         "periods": [_period_record(result) for result in results],
     }
-    _atomic_write(
-        os.path.join(args.out, "report.json"),
-        json.dumps(doc, indent=2) + "\n",
-    )
+    _atomic_write(os.path.join(args.out, "report.json"), _report_json(doc, results))
 
     if args.plots:
         from .plots import line_chart
@@ -187,13 +184,38 @@ def _period_record(result: PeriodResult) -> dict:
         "period": period,
         "weight": net.total_weight,
         "edge_count": len(net.edges),
-        "edges": [{"i": e.i, "j": e.j, "abs_r": e.weight} for e in net.edges],
+        "edges": [],  # filled in by _report_json
         "degrees": {str(i): d for i, d in net.degrees.items()},
         "d_min": disp.d_min,
         "d_max": disp.d_max,
         "volume": disp.volume if math.isfinite(disp.volume) else None,
         "log_volume": disp.log_volume if math.isfinite(disp.log_volume) else None,
     }
+
+
+# One edge as json.dumps(doc, indent=2) writes it inside a period record: json
+# renders an int with int.__repr__ and a finite float with float.__repr__, and
+# edge weights are finite because correlations are clipped to [-1, 1].
+_EDGE_JSON = '\n        {\n          "i": %d,\n          "j": %d,\n          "abs_r": %r\n        }'
+
+
+def _report_json(doc: dict, results: list[PeriodResult]) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` with each period's edges in its record.
+
+    ``json`` encodes with ``indent`` in pure Python, which on a report of
+    many edges takes most of the run, so the edge lists are formatted here
+    and the encoder sees only empty ones.
+    """
+    # json escapes every '"' inside a string, so no label can hold this text:
+    # each occurrence is the "edges" key of one period record
+    head, *tails = json.dumps(doc, indent=2).split('"edges": []')
+    parts = [head]
+    for (_, net, _), tail in zip(results, tails, strict=True):
+        edges = ",".join([_EDGE_JSON % e for e in net.edges])
+        parts.append(f'"edges": [{edges}\n      ]' if edges else '"edges": []')
+        parts.append(tail)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _run_synth(args) -> int:

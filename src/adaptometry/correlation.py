@@ -34,12 +34,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least 2 observations")
+    # all values equal, tested exactly: the centered sum of squares of a
+    # constant with an inexact mean (0.7 over 3 values) is about 4e-32, not 0
+    if x.min() == x.max() or y.min() == y.max():
+        raise ZeroVarianceError("zero variance sample")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ZeroVarianceError("zero variance sample")
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -108,12 +110,14 @@ def correlation_matrix(
         raise ValueError("need at least 2 units")
     centered = slice_.matrix - slice_.matrix.mean(axis=0)
     ss = (centered * centered).sum(axis=0)
-    degenerate = np.nonzero(ss == 0.0)[0]
+    # constant columns by value, not by ss == 0.0: see pearson
+    constant = slice_.matrix.min(axis=0) == slice_.matrix.max(axis=0)
+    degenerate = np.nonzero(constant)[0]
     if degenerate.size and zero_variance_policy == "error":
         bad = [slice_.indicator_ids[k] for k in degenerate]
         raise ZeroVarianceError(f"zero-variance indicators: {bad}")
     values = np.full((n, n), np.nan)
-    ok = np.nonzero(ss > 0.0)[0]
+    ok = np.nonzero(~constant)[0]
     if ok.size:
         sub = centered[:, ok]
         cov = sub.T @ sub

@@ -226,8 +226,10 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
         )
     # across fewer than 2 units every variance is zero, and the run fails anyway
     for p_i, period in enumerate(panel.periods if panel.n_units >= 2 else ()):
-        col_var = panel.values[p_i].var(axis=0)
-        for i_i in np.nonzero(col_var == 0.0)[0]:
+        # all values equal, tested exactly: a constant with an inexact mean
+        # (0.7 over 3 units) has a variance of about 1e-32, not 0
+        block = panel.values[p_i]
+        for i_i in np.nonzero(block.min(axis=0) == block.max(axis=0))[0]:
             report.warnings.append(
                 (
                     f"({period}, {panel.indicators[i_i].id})",

@@ -1,12 +1,18 @@
+import copy
+import dataclasses
 import json
 import pathlib
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptometry as am
-from adaptometry.cli import main
+from adaptometry.cli import _period_record, _report_json, main
+from adaptometry.correlation import Edge
 
 SYNTH_CONFIG = """\
 units = 40
@@ -232,6 +238,133 @@ class TestAnalyze:
         d1["metadata"].pop("generated_at")
         d2["metadata"].pop("generated_at")
         assert d1 == d2
+
+    def test_inexact_constant_indicators_give_no_edge(self, tmp_path, capsys):
+        # 0.7 and 0.1 have inexact means over 6 units, so their centered
+        # columns are about 1e-17, not 0: still zero variance
+        a, b = (10, 25, 40, 55, 35, 20), (30, 12, 44, 20, 50, 33)
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"2020,u{u},{i},x{i},{v}\n" for u in range(6)
+                      for i, v in ((1, a[u]), (2, b[u]), (3, 0.7), (4, 0.1)))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: (2020, 3): zero variance across units\n"
+            "warning: (2020, 4): zero variance across units\n"
+        )
+        (record,) = json.loads((out / "report.json").read_text())["periods"]
+        assert (record["weight"], record["edge_count"], record["edges"]) == (0.0, 0, [])
+
+
+def _old_report_json(doc: dict, results) -> str:
+    """The report.json writer before edges were formatted by hand: the reference."""
+    doc = copy.deepcopy(doc)
+    for record, (_, net, _) in zip(doc["periods"], results, strict=True):
+        record["edges"] = [{"i": e.i, "j": e.j, "abs_r": e.weight} for e in net.edges]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _doc(results, **metadata) -> dict:
+    return {"metadata": metadata, "periods": [_period_record(r) for r in results]}
+
+
+def _panel(periods, values) -> am.IndicatorPanel:
+    values = np.asarray(values, dtype=float)
+    return am.IndicatorPanel(
+        periods=tuple(periods),
+        units=tuple(f"u{k}" for k in range(values.shape[1])),
+        indicators=tuple(am.Indicator(k + 1, f"x{k + 1}") for k in range(values.shape[2])),
+        values=values,
+    )
+
+
+class TestReportJson:
+    """report.json is the text json.dumps(doc, indent=2) gives over dict edges."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["--threshold", "0.99"],  # no period has an edge
+            ["--threshold", "0.01"],
+            ["--exclude", "17,19"],
+            ["--exclude", "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18"],  # one indicator
+        ],
+        ids=["default", "no edges", "low threshold", "exclude", "one indicator left"],
+    )
+    def test_cli_report_matches_old_writer(self, panel_csv, panel, tmp_path, args):
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(panel_csv), *args, "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        metadata = json.loads(text)["metadata"]
+        exclude = metadata["excluded_indicator_ids"]
+        results = am.analyze(panel, metadata["threshold"], exclude)
+        assert text == _old_report_json(_doc(results, **metadata), results)
+        assert ('"edges": []' in text) == (args == ["--threshold", "0.99"] or len(exclude) == 18)
+
+    def test_every_pair_an_edge(self):
+        # every indicator is an affine function of one unit factor
+        factor = np.array([10.0, 30.0, 20.0, 60.0, 45.0])
+        values = [np.stack([factor, 100 - factor, factor / 2 + 7, 90 - factor], axis=1)] * 2
+        results = am.analyze(_panel(("a", "b"), values), 0.7)
+        assert [len(r.network.edges) for r in results] == [6, 6]
+        doc = _doc(results, threshold=0.7)
+        assert _report_json(doc, results) == _old_report_json(doc, results)
+
+    def test_zero_periods(self):
+        doc = _doc([], threshold=0.7)
+        assert _report_json(doc, []) == _old_report_json(doc, []) == json.dumps(
+            {"metadata": {"threshold": 0.7}, "periods": []}, indent=2
+        ) + "\n"
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(0.7000000000000001, 1.0, 0.30000000000000004), (0.9999999999999999, 5e-324, 0.75)],
+    )
+    def test_weights_keep_their_repr(self, weights):
+        (result,) = am.analyze(_panel(("p",), np.arange(18.0).reshape(1, 6, 3) ** 1.5), 0.5)
+        edges = tuple(Edge(i, j, w) for (i, j), w in zip(((1, 2), (1, 3), (2, 3)), weights))
+        result = result._replace(network=dataclasses.replace(result.network, edges=edges))
+        doc = _doc([result])
+        text = _report_json(doc, [result])
+        assert text == _old_report_json(doc, [result])
+        assert [e["abs_r"] for e in json.loads(text)["periods"][0]["edges"]] == list(weights)
+
+    @pytest.mark.parametrize(
+        "label",
+        ['"edges": []', 'x"edges": [', "back\\slash", 'quote"d', "kyiv–київ", "\u2028\n\t"],
+    )
+    def test_period_labels_any_text(self, label):
+        # validate rejects some of these labels, so call the writer directly
+        rng = np.random.default_rng(3)
+        values = rng.choice([0.0, 20.0, 50.0], size=(2, 5, 4))
+        results = am.analyze(_panel((label, label + "2"), values), 0.3)
+        doc = _doc(results, flag_policy='"edges": []', note=label)
+        text = _report_json(doc, results)
+        assert text == _old_report_json(doc, results)
+        assert [p["period"] for p in json.loads(text)["periods"]] == [label, label + "2"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 3), st.integers(2, 5), st.integers(1, 5)),
+        data=st.data(),
+        r0=st.floats(0.01, 0.99),
+    )
+    def test_random_panels_match_old_writer(self, shape, data, r0):
+        # few distinct values, so constant columns and correlations of 1 occur
+        n_values = shape[0] * shape[1] * shape[2]
+        values = data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.7, 33.3, 50.0, 100.0]),
+            min_size=n_values, max_size=n_values,
+        ))
+        labels = data.draw(st.lists(st.text(max_size=6), min_size=shape[0],
+                                    max_size=shape[0], unique=True))
+        results = am.analyze(_panel(labels, np.reshape(values, shape)), r0)
+        doc = _doc(results, threshold=r0)
+        assert _report_json(doc, results) == _old_report_json(doc, results)
 
 
 class TestSynth:

@@ -48,6 +48,14 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             am.pearson([5, 5, 5], [1, 2, 3])
 
+    @pytest.mark.parametrize("value, m", [(0.7, 3), (0.1, 6), (33.3, 6)])
+    def test_inexact_constant_is_zero_variance(self, value, m):
+        # the mean of these constants is inexact, so the centered values are not 0
+        with pytest.raises(ZeroVarianceError):
+            am.pearson([value] * m, range(m))
+        with pytest.raises(ZeroVarianceError):
+            am.pearson(range(m), [value] * m)
+
     @pytest.mark.parametrize("seed", range(100))
     def test_symmetry_and_affine_invariance(self, seed):
         rng = np.random.default_rng(seed)
@@ -134,6 +142,19 @@ class TestCorrelationMatrix:
         assert len(mat.undefined_pairs) == s.n_indicators - 1
         assert math.isnan(mat.entry(1, 3))
         assert not math.isnan(mat.entry(1, 2))
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_inexact_constants_are_undefined(self, m):
+        s = random_slice(1, m=m, n=4)
+        matrix = s.matrix.copy()
+        matrix[:, 2], matrix[:, 3] = 0.7, 0.1
+        flat = am.PeriodSlice(s.period, s.units, s.indicator_ids, matrix)
+        mat = am.correlation_matrix(flat)
+        assert mat.undefined_pairs == {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
+        assert np.isnan(mat.values[2:]).all() and np.isnan(mat.values[:, 2:]).all()
+        assert am.build_network(mat, 0.7).edges == ()
+        with pytest.raises(ZeroVarianceError, match=r"\[3, 4\]"):
+            am.correlation_matrix(flat, zero_variance_policy="error")
 
     def test_csv_export(self, panel):
         mat = am.correlation_matrix(am.slice_period(panel, "2009-08"))

@@ -148,6 +148,15 @@ class TestValidate:
         assert any("zero variance" in msg for _, msg in report.warnings)
         assert any("p01" in loc and "3" in loc for loc, _ in report.warnings)
 
+    @pytest.mark.parametrize("value", [0.7, 0.1, 33.3])
+    def test_inexact_constant_warns(self, value):
+        p = small_panel(n_periods=2, m=6)
+        values = p.values.copy()
+        values[1, :, 3] = value  # its mean over 6 units is inexact
+        report = am.validate(am.IndicatorPanel(p.periods, p.units, p.indicators, values))
+        assert report.errors == []
+        assert report.warnings == [("(p01, 4)", "zero variance across units")]
+
     def test_out_of_range_is_error(self):
         p = small_panel()
         values = p.values.copy()
