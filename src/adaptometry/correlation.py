@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import PeriodSlice
+from .panel import PeriodSlice, fixed_decimal_rows
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -177,10 +177,10 @@ def degree_counts(
 
 
 def matrix_to_csv(matrix: CorrelationMatrix, decimals: int = 2) -> str:
-    """Render the matrix as CSV with an id header row/column; NaN is empty."""
-    fmt = f",%.{decimals}f" * matrix.n
-    lines = [",".join(["indicator_id", *map(str, matrix.indicator_ids)])]
-    for ind_id, row in zip(matrix.indicator_ids, matrix.values):
-        # "%f" renders NaN as "nan", and no number's text contains it
-        lines.append(f"{ind_id}" + (fmt % tuple(row.tolist())).replace(",nan", ","))
-    return "\n".join(lines) + "\n"
+    """Render the matrix as CSV with an id header row/column; NaN is empty.
+
+    Entries read as ``"%.{decimals}f"`` writes them (see fixed_decimal_rows).
+    """
+    ids = [str(i) for i in matrix.indicator_ids]
+    header = ",".join(["indicator_id", *ids]) + "\n"
+    return header + fixed_decimal_rows(ids, matrix.values, decimals)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import PeriodSlice, csv_field
+from .panel import PeriodSlice, csv_field, fixed_decimal_rows
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,11 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
 
 
 def distances_to_csv(summary: DispersionSummary, decimals: int = 2) -> str:
-    """Render the symmetric distance matrix as CSV with unit labels."""
-    fmt = f",%.{decimals}f" * len(summary.units)
+    """Render the symmetric distance matrix as CSV with unit labels.
+
+    Entries read as ``"%.{decimals}f"`` writes them (see fixed_decimal_rows);
+    NaN, which no distance between valid units is, as an empty field.
+    """
     labels = [csv_field(unit) for unit in summary.units]
-    lines = [",".join(["unit", *labels])]
-    for label, row in zip(labels, summary.distance_matrix):
-        lines.append(label + fmt % tuple(row.tolist()))
-    return "\n".join(lines) + "\n"
+    header = ",".join(["unit", *labels]) + "\n"
+    return header + fixed_decimal_rows(labels, summary.distance_matrix, decimals)

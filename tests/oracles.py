@@ -18,14 +18,22 @@ def oracle_total_weight(matrix, r0: float = 0.7) -> float:
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            r = statistics.correlation(cols[i], cols[j])
+            r = oracle_pearson(cols[i], cols[j])
             if abs(r) > r0:
                 total += abs(r)
     return total
 
 
 def oracle_pearson(x, y) -> float:
-    return statistics.correlation(list(x), list(y))
+    """Pearson r by the stdlib; raises on a constant column, tested exactly.
+
+    ``statistics.correlation`` raises for some constants only: 0.7 or 0.1
+    repeated has an inexact mean, and it returns 0.0 or +-1.0 for them.
+    """
+    x, y = list(x), list(y)
+    if min(x) == max(x) or min(y) == max(y):
+        raise statistics.StatisticsError("at least one of the inputs is constant")
+    return statistics.correlation(x, y)
 
 
 def oracle_distance(u, v) -> float:

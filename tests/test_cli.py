@@ -139,6 +139,21 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.csv"]
 
+    def test_period_labels_equal_but_for_case_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "case.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"{p},{u},{i},x{i},{10 * i + u}\n"
+                      for p in ("2020-A", "2020-a") for u in (1, 2, 3) for i in (1, 2))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: period '2020-a': period labels '2020-A' and '2020-a' differ only in case, "
+            "so their output files collide on case-insensitive file systems\n"
+        )
+        assert not out.exists()
+
     def test_bad_flag_policy_writes_nothing(self, panel_csv, grouped_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(

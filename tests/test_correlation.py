@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ class TestPearson:
         x = rng.uniform(0, 100, size=6)
         y = rng.uniform(0, 100, size=6)
         assert am.pearson(x, y) == pytest.approx(oracle_pearson(x, y), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("value", [0.7, 0.1, 33.3])
+    def test_oracle_rejects_constant_columns(self, value, n):
+        varying = [10.0, 25.0, 40.0, 45.0, 70.0, 90.0][:n]
+        for x, y in [([value] * n, varying), (varying, [value] * n), ([value] * n, [0.1] * n)]:
+            with pytest.raises(statistics.StatisticsError, match="constant"):
+                oracle_pearson(x, y)
 
 
 class TestThresholdGate:

@@ -6,14 +6,18 @@ row number, so that faster implementations can be checked against them.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptometry as am
-from adaptometry.correlation import correlation_matrix, matrix_to_csv
-from adaptometry.dispersion import dispersion_summary, distances_to_csv
-from adaptometry.panel import PanelError
+from adaptometry import panel as panel_module
+from adaptometry.correlation import CorrelationMatrix, correlation_matrix, matrix_to_csv
+from adaptometry.dispersion import DispersionSummary, dispersion_summary, distances_to_csv
+from adaptometry.panel import PanelError, csv_field
 
 HEADER = "period,unit,indicator_id,indicator_name,value\n"
 
@@ -81,6 +85,144 @@ class TestWriters:
         assert quoted.units == plain.units
         assert quoted.indicators == plain.indicators
         assert np.array_equal(quoted.values, plain.values)
+
+
+def _old_matrix_to_csv(matrix: CorrelationMatrix, decimals: int = 2) -> str:
+    """matrix_to_csv before the shared fixed-decimal formatter: the reference."""
+    fmt = f",%.{decimals}f" * matrix.n
+    lines = [",".join(["indicator_id", *map(str, matrix.indicator_ids)])]
+    for ind_id, row in zip(matrix.indicator_ids, matrix.values):
+        # "%f" renders NaN as "nan", and no number's text contains it
+        lines.append(f"{ind_id}" + (fmt % tuple(row.tolist())).replace(",nan", ","))
+    return "\n".join(lines) + "\n"
+
+
+def _old_distances_to_csv(summary: DispersionSummary, decimals: int = 2) -> str:
+    """distances_to_csv before the shared fixed-decimal formatter: the reference."""
+    fmt = f",%.{decimals}f" * len(summary.units)
+    labels = [csv_field(unit) for unit in summary.units]
+    lines = [",".join(["unit", *labels])]
+    for label, row in zip(labels, summary.distance_matrix):
+        lines.append(label + fmt % tuple(row.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def _matrix(values) -> CorrelationMatrix:
+    values = np.asarray(values, dtype=float)
+    return CorrelationMatrix(tuple(range(1, len(values) + 1)), values, frozenset())
+
+
+def _summary(values) -> DispersionSummary:
+    values = np.asarray(values, dtype=float)
+    units = tuple(f"u{k}" if k % 2 else f'"u,{k}"' for k in range(len(values)))
+    return DispersionSummary("p", units, values, 0.0, 0.0, 0.0, 0.0, 1)
+
+
+def _rolled(values) -> np.ndarray:
+    """Square matrix whose row i is ``values`` rotated by i: each value in every column."""
+    return np.array([np.roll(values, i) for i in range(len(values))], dtype=float)
+
+
+def _neighbours(values):
+    return [v for x in values for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+# Exact binary ties (0.125, 0.375) round half to even; 1.005 and 2.675 are decimal
+# ties whose binary values lie just below, so "%" rounds them down.
+TIES = _neighbours([0.125, 0.375, 1.005, 2.675, 0.5, 2.5, -0.125, -2.675])
+SIGNS = [-0.0, 0.0, -1e-9, 1e-9, -0.004, 0.004, 5e-324, -5e-324]
+# |x| * 10**decimals at or above 2**31 for some decimals in 0 to 4, or not finite
+HUGE = _neighbours([2.0**31, 2.0**31 / 10**4, 2.0**31 / 100 - 0.005]) + [
+    3e9, -3e9, 1e300, -1.7e308, np.inf, -np.inf,
+]
+
+
+class TestWritersMatchOldWriters:
+    """Both CSV writers give the bytes of the old per-row "%" writers."""
+
+    @pytest.mark.parametrize("decimals", range(5))
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 2], ids=["one block", "1 row", "2 rows"])
+    @pytest.mark.parametrize("values", [TIES, SIGNS, HUGE], ids=["ties", "signs", "huge"])
+    def test_special_values(self, values, decimals, rows_per_block, monkeypatch):
+        # an odd number of rows, so the last 2-row block is partial
+        matrix = _rolled(values + [0.0] * (1 - len(values) % 2))
+        if rows_per_block:
+            block = rows_per_block * len(matrix)
+            monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", block)
+        assert matrix_to_csv(_matrix(matrix), decimals) == _old_matrix_to_csv(
+            _matrix(matrix), decimals
+        )
+        assert distances_to_csv(_summary(matrix), decimals) == _old_distances_to_csv(
+            _summary(matrix), decimals
+        )
+
+    @pytest.mark.parametrize("decimals", range(5))
+    def test_every_special_value_at_once(self, decimals):
+        matrix = _rolled(TIES + SIGNS + HUGE)
+        assert distances_to_csv(_summary(matrix), decimals) == _old_distances_to_csv(
+            _summary(matrix), decimals
+        )
+        matrix[::3, 1::2] = np.nan
+        assert matrix_to_csv(_matrix(matrix), decimals) == _old_matrix_to_csv(
+            _matrix(matrix), decimals
+        )
+
+    def test_two_by_two(self):
+        matrix = _matrix([[1.0, -0.0], [np.nan, 0.125]])
+        assert matrix_to_csv(matrix) == _old_matrix_to_csv(matrix) == (
+            "indicator_id,1,2\n1,1.00,-0.00\n2,,0.12\n"
+        )
+        summary = _summary([[0.0, 2.675], [2.675, -1e-9]])
+        assert distances_to_csv(summary) == _old_distances_to_csv(summary) == (
+            'unit,"""u,0""",u1\n"""u,0""",0.00,2.67\nu1,2.67,-0.00\n'
+        )
+
+    def test_one_entry_per_block(self, monkeypatch):
+        monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 1)
+        assert matrix_to_csv(_matrix([[0.375]])) == "indicator_id,1\n1,0.38\n"
+        assert distances_to_csv(_summary([[-0.0]])) == 'unit,"""u,0"""\n"""u,0""",-0.00\n'
+
+    def test_negative_decimals_raise(self):
+        # as in the old writers, where "%.-1f" is no format
+        with pytest.raises(ValueError):
+            _old_matrix_to_csv(_matrix([[1.0]]), -1)
+        with pytest.raises(ValueError):
+            matrix_to_csv(_matrix([[1.0]]), -1)
+        with pytest.raises(ValueError):
+            distances_to_csv(_summary([[0.0]]), -1)
+
+    def test_nan_distance_is_an_empty_field(self):
+        # the old distance writer wrote "nan"; no distance of a valid panel is NaN
+        assert distances_to_csv(_summary([[0.0, np.nan], [np.nan, 0.0]])) == (
+            'unit,"""u,0""",u1\n"""u,0""",0.00,\nu1,,0.00\n'
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(1, 7),
+        decimals=st.integers(0, 4),
+        block=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_random_matrices(self, size, decimals, block, data):
+        entry = st.one_of(
+            st.floats(allow_nan=False),
+            st.floats(-500, 500),
+            st.integers(-8000, 8000).map(lambda i: i / 8),  # exact ties
+            st.integers(-10**6, 10**6).map(lambda i: i / 1000),  # decimal ties
+            st.sampled_from(TIES + SIGNS + HUGE),
+        )
+        values = np.array(data.draw(st.lists(entry, min_size=size**2, max_size=size**2)))
+        matrix = values.reshape(size, size)
+        nan = np.array(data.draw(st.lists(st.booleans(), min_size=size**2, max_size=size**2)))
+        with mock.patch.object(panel_module, "_FORMAT_BLOCK_ELEMENTS", block):
+            assert distances_to_csv(_summary(matrix), decimals) == _old_distances_to_csv(
+                _summary(matrix), decimals
+            )
+            matrix[nan.reshape(size, size)] = np.nan
+            assert matrix_to_csv(_matrix(matrix), decimals) == _old_matrix_to_csv(
+                _matrix(matrix), decimals
+            )
 
 
 # Comment and blank lines count toward row numbers: the first data row is row 5.

@@ -183,6 +183,17 @@ class TestValidate:
         report = am.validate(am.IndicatorPanel((label,), p.units, p.indicators, p.values))
         assert [loc for loc, _ in report.errors] == [f"period {label!r}"]
 
+    @pytest.mark.parametrize("labels", [("2020-A", "2020-a"), ("STRASSE", "straße")])
+    def test_period_labels_equal_but_for_case_are_error(self, labels):
+        p = small_panel(n_periods=2)
+        report = am.validate(am.IndicatorPanel(labels, p.units, p.indicators, p.values))
+        first, second = labels
+        assert report.errors == [(
+            f"period {second!r}",
+            f"period labels {first!r} and {second!r} differ only in case, so their "
+            "output files collide on case-insensitive file systems",
+        )]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_flags_exactly_zero_variance_pairs(self, seed):
         rng = np.random.default_rng(200 + seed)
