@@ -16,16 +16,13 @@ from .correlation import (
     correlation_matrix,
     degree_counts,
     pearson,
-    threshold_gate,
 )
 from .dispersion import (
     DispersionSummary,
     ball_diameter,
     bounding_volume,
     distance_matrix,
-    euclidean_distance,
     log_gamma_half_integer,
-    max_distance,
 )
 from .panel import (
     Indicator,

@@ -7,7 +7,6 @@ correlations is the stress index tracked across periods.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -23,10 +22,9 @@ class ZeroVarianceError(ValueError):
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation of two equal-length samples.
+    """Pearson correlation of two equal-length finite samples.
 
-    Two-pass computation (means first, then centered moments) in double
-    precision; stable to ~1e-12 under reordering of observations.
+    The off-diagonal entry of correlation_matrix on the two-column slice.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -34,25 +32,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least 2 observations")
-    # all values equal, tested exactly: the centered sum of squares of a
-    # constant with an inexact mean (0.7 over 3 values) is about 4e-32, not 0
-    if x.min() == x.max() or y.min() == y.max():
+    xy = np.column_stack([x, y])
+    if not np.isfinite(xy).all():
+        raise ValueError("non-finite sample value (NaN or inf)")
+    units = tuple(str(k) for k in range(x.size))
+    mat = correlation_matrix(PeriodSlice("", units, (0, 1), xy))
+    if mat.undefined_pairs:
         raise ZeroVarianceError("zero variance sample")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
-
-
-def threshold_gate(r: float, r0: float) -> int:
-    """1 if |r| strictly exceeds the critical point r0, else 0."""
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"correlation {r} outside [-1, 1]")
-    if not 0.0 < r0 < 1.0:
-        raise ValueError(f"threshold {r0} outside (0, 1)")
-    return 1 if abs(r) > r0 else 0
+    return float(mat.values[0, 1])
 
 
 @dataclass(frozen=True)
@@ -71,12 +58,6 @@ class CorrelationMatrix:
     def n(self) -> int:
         return len(self.indicator_ids)
 
-    def entry(self, i: int, j: int) -> float:
-        """Correlation between indicators with ids i and j."""
-        a = self.indicator_ids.index(i)
-        b = self.indicator_ids.index(j)
-        return float(self.values[a, b])
-
 
 class Edge(NamedTuple):
     i: int  # indicator id, i < j
@@ -93,29 +74,21 @@ class CorrelationNetwork:
     degrees: dict[int, int]  # indicator id -> number of incident edges
 
 
-def correlation_matrix(
-    slice_: PeriodSlice,
-    zero_variance_policy: str = "treat_as_undefined",
-) -> CorrelationMatrix:
+def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
     """All pairwise correlations over the slice's units.
 
-    ``zero_variance_policy``: ``error`` aborts naming the offending
-    indicator; ``treat_as_undefined`` leaves every pair touching a
-    zero-variance indicator NaN and records it in ``undefined_pairs``.
+    Every pair touching a zero-variance indicator is left NaN and recorded
+    in ``undefined_pairs``.
     """
-    if zero_variance_policy not in ("error", "treat_as_undefined"):
-        raise ValueError(f"unknown zero_variance_policy {zero_variance_policy!r}")
     m, n = slice_.matrix.shape
     if m < 2:
         raise ValueError("need at least 2 units")
     centered = slice_.matrix - slice_.matrix.mean(axis=0)
     ss = (centered * centered).sum(axis=0)
-    # constant columns by value, not by ss == 0.0: see pearson
+    # all values equal, tested exactly: the centered sum of squares of a
+    # constant with an inexact mean (0.7 over 3 values) is about 4e-32, not 0
     constant = slice_.matrix.min(axis=0) == slice_.matrix.max(axis=0)
     degenerate = np.nonzero(constant)[0]
-    if degenerate.size and zero_variance_policy == "error":
-        bad = [slice_.indicator_ids[k] for k in degenerate]
-        raise ZeroVarianceError(f"zero-variance indicators: {bad}")
     values = np.full((n, n), np.nan)
     ok = np.nonzero(~constant)[0]
     if ok.size:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,17 +27,6 @@ class DispersionSummary:
     log_volume: float  # -inf when the volume is zero
     d_min: float
     n_indicators: int
-
-
-def euclidean_distance(u: Sequence[float], v: Sequence[float]) -> float:
-    """Euclidean metric between two coordinate vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    if u.size < 1:
-        raise ValueError("need at least 1 coordinate")
-    return float(np.linalg.norm(u - v))
 
 
 # Elements in one block's difference temporary; blocks of 2**18 and 2**20
@@ -69,11 +57,6 @@ def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
         out[s:e, s:] = block
         out[s:, s:e] = block.T
     return out
-
-
-def max_distance(slice_: PeriodSlice) -> float:
-    """Largest pairwise distance between units."""
-    return float(distance_matrix(slice_).max())
 
 
 def bounding_volume(slice_: PeriodSlice) -> float:

@@ -20,9 +20,22 @@ from .panel import Indicator, IndicatorPanel
 
 REGIMES = ("baseline", "stressed")
 
+# Largest panel synth builds, in units x indicators x periods cells; the
+# largest benchmark ladder size is 1.6M cells.
+MAX_PANEL_CELLS = 10**8
+
 
 class SynthConfigError(ValueError):
     """Raised for inconsistent generator configuration."""
+
+
+def _check_size(units: int, indicators: int, periods: int) -> None:
+    # counts below 1 are rejected later, so they must not hide a huge one here
+    if max(units, 1) * max(indicators, 1) * max(periods, 1) > MAX_PANEL_CELLS:
+        raise SynthConfigError(
+            f"{units} units x {indicators} indicators x {periods} periods"
+            f" exceeds {MAX_PANEL_CELLS} cells"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,7 @@ class SynthConfig:
             raise SynthConfigError("need at least 1 indicator")
         if not self.periods:
             raise SynthConfigError("need at least 1 period")
+        _check_size(self.units, self.indicators, len(self.periods))
         labels = [p for p, _ in self.periods]
         if sorted(labels) != labels or len(set(labels)) != len(labels):
             raise SynthConfigError("period labels must be strictly increasing")
@@ -168,6 +182,7 @@ def parse_synth_config(text: str) -> SynthConfig:
         if not sep:
             raise SynthConfigError(f"bad period token {tok!r}, expected label:regime")
         periods.append((label, regime))
+    _check_size(units, indicators, len(periods))
     means = _parse_means(raw["baseline_means"], indicators)
     return SynthConfig(
         units=units,

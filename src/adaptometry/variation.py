@@ -207,6 +207,8 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
         if key in cells:
             raise VariationError(f"duplicate cell {key}")
         cells[key] = value
+    if not cells:
+        raise VariationError("no data rows")
     try:
         values = np.array([[cells[(i, g)] for g in groups] for i in ids])
     except KeyError as exc:

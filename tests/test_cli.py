@@ -430,6 +430,15 @@ class TestSynth:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_oversized_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG.replace("indicators = 5", f"indicators = {2**62}"))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 40 units x {2**62} indicators x 2 periods exceeds 100000000 cells\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"
         config.write_text("units = 1\n")

@@ -49,6 +49,15 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             am.pearson([5, 5, 5], [1, 2, 3])
 
+    @pytest.mark.parametrize("sample", ["x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_error(self, bad, sample):
+        values = [[bad, 1.0, 2.0], [1.0, 2.0, 3.0]]
+        if sample == "y":
+            values.reverse()
+        with pytest.raises(ValueError, match="non-finite"):
+            am.pearson(*values)
+
     @pytest.mark.parametrize("value, m", [(0.7, 3), (0.1, 6), (33.3, 6)])
     def test_inexact_constant_is_zero_variance(self, value, m):
         # the mean of these constants is inexact, so the centered values are not 0
@@ -95,20 +104,20 @@ class TestPearson:
 
 
 class TestThresholdGate:
+    """The strict gate |r| > r0, as build_network applies it to one pair."""
+
+    def edges(self, r, r0):
+        mat = am.CorrelationMatrix((1, 2), np.array([[1.0, r], [r, 1.0]]), frozenset())
+        return len(am.build_network(mat, r0).edges)
+
     def test_above(self):
-        assert am.threshold_gate(0.71, 0.7) == 1
+        assert self.edges(0.71, 0.7) == 1
 
     def test_boundary_is_excluded(self):
-        assert am.threshold_gate(0.70, 0.7) == 0
+        assert self.edges(0.70, 0.7) == 0
 
     def test_strong_negative_counts(self):
-        assert am.threshold_gate(-0.93, 0.7) == 1
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            am.threshold_gate(1.5, 0.7)
-        with pytest.raises(ValueError):
-            am.threshold_gate(0.5, 1.0)
+        assert self.edges(-0.93, 0.7) == 1
 
 
 class TestCorrelationMatrix:
@@ -125,7 +134,7 @@ class TestCorrelationMatrix:
             matrix=np.array([[1.0, 5.0], [2.0, 7.0], [4.0, 11.0]]),  # y = 2x + 3
         )
         mat = am.correlation_matrix(s)
-        assert mat.entry(1, 2) == pytest.approx(1.0, abs=1e-12)
+        assert mat.values[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_unit_diagonal(self, panel):
         mat = am.correlation_matrix(am.slice_period(panel, "2009-08"))
@@ -133,24 +142,16 @@ class TestCorrelationMatrix:
         assert np.all(np.diag(mat.values) == 1.0)
         assert np.nanmax(np.abs(mat.values)) <= 1.0
 
-    def test_zero_variance_error_policy(self):
-        s = random_slice(0)
-        m = s.matrix.copy()
-        m[:, 2] = 42.0
-        flat = am.PeriodSlice(s.period, s.units, s.indicator_ids, m)
-        with pytest.raises(ZeroVarianceError, match="3"):
-            am.correlation_matrix(flat, zero_variance_policy="error")
-
     def test_zero_variance_undefined_policy(self):
         s = random_slice(0)
         m = s.matrix.copy()
         m[:, 2] = 42.0
         flat = am.PeriodSlice(s.period, s.units, s.indicator_ids, m)
-        mat = am.correlation_matrix(flat, zero_variance_policy="treat_as_undefined")
+        mat = am.correlation_matrix(flat)
         assert all(3 in pair for pair in mat.undefined_pairs)
         assert len(mat.undefined_pairs) == s.n_indicators - 1
-        assert math.isnan(mat.entry(1, 3))
-        assert not math.isnan(mat.entry(1, 2))
+        assert math.isnan(mat.values[0, 2])
+        assert not math.isnan(mat.values[0, 1])
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_inexact_constants_are_undefined(self, m):
@@ -162,8 +163,6 @@ class TestCorrelationMatrix:
         assert mat.undefined_pairs == {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
         assert np.isnan(mat.values[2:]).all() and np.isnan(mat.values[:, 2:]).all()
         assert am.build_network(mat, 0.7).edges == ()
-        with pytest.raises(ZeroVarianceError, match=r"\[3, 4\]"):
-            am.correlation_matrix(flat, zero_variance_policy="error")
 
     def test_csv_export(self, panel):
         mat = am.correlation_matrix(am.slice_period(panel, "2009-08"))
@@ -266,6 +265,12 @@ class TestBuildNetwork:
         assert [tuple(e) for e in net.edges] == [(2, 3, 0.50001)]
         assert net.degrees == {1: 0, 2: 1, 3: 1}
         assert net.total_weight == 0.50001
+
+    @pytest.mark.parametrize("r0", [0.0, 1.0, -0.1, math.nan])
+    def test_threshold_outside_open_unit_interval_is_error(self, r0):
+        mat = am.correlation_matrix(random_slice(0))
+        with pytest.raises(ValueError, match="threshold"):
+            am.build_network(mat, r0)
 
     def test_degree_parity_reference_panel(self, panel):
         for period in panel.periods:

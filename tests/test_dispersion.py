@@ -33,29 +33,32 @@ def random_slice(seed, m=5, n=6, scale=100.0):
     )
 
 
+def pair_distance(u, v):
+    """distance_matrix on the 2-unit slice of u and v."""
+    pts = np.array([u, v], dtype=float)
+    s = am.PeriodSlice("p", ("u", "v"), tuple(range(1, pts.shape[1] + 1)), pts)
+    return am.distance_matrix(s)[0, 1]
+
+
 class TestEuclideanDistance:
     def test_published_pair_full_indicator_set(self, panel):
         s = am.slice_period(panel, "2009-08")
-        d = am.euclidean_distance(s.matrix[0], s.matrix[1])  # West, Centre
+        d = am.distance_matrix(s)[0, 1]  # West, Centre
         assert d == pytest.approx(21.70, abs=0.50)
         # recomputation over all 19 indicators gives 21.79
         assert d == pytest.approx(21.79, abs=0.01)
 
     def test_identical_vectors(self):
-        assert am.euclidean_distance([1, 2, 3], [1, 2, 3]) == 0.0
+        assert pair_distance([1, 2, 3], [1, 2, 3]) == 0.0
 
     def test_3_4_5_triangle(self):
-        assert am.euclidean_distance([0, 0], [3, 4]) == pytest.approx(5.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            am.euclidean_distance([1, 2], [1, 2, 3])
+        assert pair_distance([0, 0], [3, 4]) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         u, v = rng.uniform(-50, 50, size=(2, 7))
-        assert am.euclidean_distance(u, v) == pytest.approx(oracle_distance(u, v), abs=1e-10)
+        assert pair_distance(u, v) == pytest.approx(oracle_distance(u, v), abs=1e-10)
 
 
 class TestDistanceMatrix:
@@ -150,12 +153,13 @@ class TestDistanceMatrix:
 class TestMaxDistance:
     def test_published_maxima(self, panel):
         reduced = am.exclude_indicators(panel, {17, 19})
-        assert am.max_distance(am.slice_period(reduced, "2010-03")) == pytest.approx(46.16, abs=0.50)
-        assert am.max_distance(am.slice_period(reduced, "2009-08")) == pytest.approx(31.59, abs=0.50)
+        for period, published in (("2010-03", 46.16), ("2009-08", 31.59)):
+            s = am.slice_period(reduced, period)
+            assert dispersion_summary(s).d_max == pytest.approx(published, abs=0.50)
 
     def test_identical_units(self):
         s = am.PeriodSlice("p", ("a", "b", "c"), (1, 2), np.full((3, 2), 4.0))
-        assert am.max_distance(s) == 0.0
+        assert dispersion_summary(s).d_max == 0.0
 
 
 class TestBoundingVolume:
@@ -288,7 +292,7 @@ class TestDispersionSeries:
         )
         series = am.dispersion_series(panel)
         assert len(series) == 1
-        assert series[0].d_max == am.max_distance(s)
+        assert series[0].d_max == am.distance_matrix(s).max()
 
     def test_summary_invariants(self, panel):
         for summary in am.dispersion_series(panel):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import adaptometry as am
-from adaptometry.synthgen import SynthConfig, SynthConfigError, parse_synth_config
+from adaptometry.synthgen import (
+    MAX_PANEL_CELLS,
+    SynthConfig,
+    SynthConfigError,
+    parse_synth_config,
+)
 
 
 def make_config(**overrides):
@@ -49,6 +54,14 @@ class TestConfig:
         with pytest.raises(SynthConfigError, match="increasing"):
             make_config(periods=(("2020-06", "baseline"), ("2020-01", "stressed")))
 
+    def test_panel_size_limit(self):
+        with pytest.raises(SynthConfigError, match=f"exceeds {MAX_PANEL_CELLS} cells"):
+            make_config(indicators=2**62, baseline_means=(50.0,))
+        units = MAX_PANEL_CELLS // 2 // 6
+        make_config(units=units)
+        with pytest.raises(SynthConfigError, match="exceeds"):
+            make_config(units=units + 1)
+
 
 class TestParseConfig:
     TEXT = """\
@@ -75,6 +88,12 @@ seed = 1
     def test_unknown_key(self):
         with pytest.raises(SynthConfigError, match="unknown"):
             parse_synth_config(self.TEXT + "extra = 1\n")
+
+    @pytest.mark.parametrize("units", ["50", "0", "-3"])
+    def test_oversized_panel_is_rejected_before_the_means(self, units):
+        text = self.TEXT.replace("indicators = 6", f"indicators = {2**62}")
+        with pytest.raises(SynthConfigError, match=f"exceeds {MAX_PANEL_CELLS} cells"):
+            parse_synth_config(text.replace("units = 50", f"units = {units}"))
 
     def test_explicit_means_list(self):
         text = self.TEXT.replace("baseline_means = 50", "baseline_means = 10,20,30,40,50,60")

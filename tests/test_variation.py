@@ -135,6 +135,7 @@ class TestFlagExclusions:
 GROUPED_HEADER = "indicator_id,group,value\n"
 GROUPED_ERRORS = {
     "empty": ("# only\n\n", "empty input"),
+    "header only": (GROUPED_HEADER, "no data rows"),
     "field count": (GROUPED_HEADER + "1,a,3,4\n", "expected 3 fields, got ['1', 'a', '3', '4']"),
     "value": (GROUPED_HEADER + "1,g1,abc\n", "bad row ['1', 'g1', 'abc']"),
     "duplicate": (GROUPED_HEADER + "1,a,3\n1,a,4\n", "duplicate cell (1, 'a')"),
