@@ -5,20 +5,21 @@ with CSV sidecars (correlation and distance matrices, optional CV profile)
 and optional SVG charts. ``synth`` generates a seeded synthetic panel and a
 regime-contrast summary.
 
-Exit codes: 0 success, 1 input-validation failure, 2 argument errors.
+Every failure raises; ``main`` alone turns it into ``error:`` lines and an
+exit code: 0 success, 1 an invalid panel or grouped table, 2 a bad argument,
+an unreadable file or a bad synth config.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -36,19 +37,22 @@ from .variation import (
 )
 
 
+class UsageError(ValueError):
+    """A bad argument or an input file that cannot be opened: exit code 2."""
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            return _run_analyze(args)
-        return _run_synth(args)
-    except (PanelError, VariationError) as exc:
-        _err(f"error: {exc}")
-        return 1
-    except SynthConfigError as exc:
-        _err(f"error: {exc}")
-        return 2
+            _run_analyze(args)
+        else:
+            _run_synth(args)
+    except (UsageError, SynthConfigError, PanelError, VariationError) as exc:
+        for line in str(exc).split("\n"):
+            _err(f"error: {line}")
+        return 2 if isinstance(exc, (UsageError, SynthConfigError)) else 1
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,39 +90,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_analyze(args) -> int:
+def _run_analyze(args) -> None:
     if not 0.0 < args.threshold < 1.0:
-        _err(f"error: --threshold {args.threshold} outside (0, 1)")
-        return 2
-    try:
-        exclude = _parse_id_list(args.exclude)
-    except ValueError as exc:
-        _err(f"error: {exc}")
-        return 2
+        raise UsageError(f"--threshold {args.threshold} outside (0, 1)")
+    exclude = _parse_id_list(args.exclude)
     raw = _read_file(args.input)
-    if raw is None:
-        return 2
-    grouped_raw = None
-    if args.grouped:
-        grouped_raw = _read_file(args.grouped)
-        if grouped_raw is None:
-            return 2
+    grouped_raw = _read_file(args.grouped) if args.grouped else None
 
     panel = parse_panel(raw)
     report = validate(panel)
     for loc, msg in report.warnings:
         _err(f"warning: {loc}: {msg}")
     if not report.ok:
-        for loc, msg in report.errors:
-            _err(f"error: {loc}: {msg}")
-        return 1
+        raise PanelError("\n".join(f"{loc}: {msg}" for loc, msg in report.errors))
     unknown = set(exclude) - set(panel.indicator_ids)
     if unknown:
-        _err(f"error: --exclude ids not in panel: {sorted(unknown)}")
-        return 2
+        raise UsageError(f"--exclude ids not in panel: {sorted(unknown)}")
     if set(exclude) >= set(panel.indicator_ids):
-        _err("error: --exclude leaves no indicators")
-        return 2
+        raise UsageError("--exclude leaves no indicators")
 
     flagged: list[int] = []
     if grouped_raw is not None:
@@ -126,14 +115,12 @@ def _run_analyze(args) -> int:
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
     results = analyze(panel, args.threshold, exclude)
 
-    os.makedirs(os.path.join(args.out, "matrices"), exist_ok=True)  # creates --out too
-    os.makedirs(os.path.join(args.out, "distances"), exist_ok=True)
     for period, net, disp in results:
         name = f"{period}.csv"
-        _atomic_write(os.path.join(args.out, "matrices", name), matrix_to_csv(net.matrix))
-        _atomic_write(os.path.join(args.out, "distances", name), distances_to_csv(disp))
+        _write(os.path.join(args.out, "matrices", name), matrix_to_csv(net.matrix))
+        _write(os.path.join(args.out, "distances", name), distances_to_csv(disp))
     if grouped_raw is not None:
-        _atomic_write(os.path.join(args.out, "variation.csv"), profile_to_csv(profile, flagged))
+        _write(os.path.join(args.out, "variation.csv"), profile_to_csv(profile, flagged))
 
     doc = {
         "metadata": {
@@ -148,13 +135,13 @@ def _run_analyze(args) -> int:
         },
         "periods": [_period_record(result) for result in results],
     }
-    _atomic_write(os.path.join(args.out, "report.json"), _report_json(doc, results))
+    _write(os.path.join(args.out, "report.json"), _report_json(doc, results))
 
     if args.plots:
         from .plots import line_chart
 
         labels = [r.period for r in results]
-        _atomic_write(
+        _write(
             os.path.join(args.out, "weight.svg"),
             line_chart(
                 labels,
@@ -163,7 +150,7 @@ def _run_analyze(args) -> int:
                 "total weight",
             ),
         )
-        _atomic_write(
+        _write(
             os.path.join(args.out, "dispersion.svg"),
             line_chart(
                 labels,
@@ -175,7 +162,6 @@ def _run_analyze(args) -> int:
                 "distance",
             ),
         )
-    return 0
 
 
 def _period_record(result: PeriodResult) -> dict:
@@ -218,36 +204,22 @@ def _report_json(doc: dict, results: list[PeriodResult]) -> str:
     return "".join(parts)
 
 
-def _run_synth(args) -> int:
-    raw = _read_file(args.config)
-    if raw is None:
-        return 2
-    config = parse_synth_config(raw)
+def _run_synth(args) -> None:
+    config = parse_synth_config(_read_file(args.config))
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     panel = generate_panel(config)
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "panel.csv"), serialize_panel(panel))
+    _write(os.path.join(args.out, "panel.csv"), serialize_panel(panel))
 
     regimes = {regime for _, regime in config.periods}
     if len(regimes) == 2:
         contrast = stress_contrast(config)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["seed", "w_baseline", "w_stressed", "d_max_baseline", "d_max_stressed"])
-        writer.writerow(
-            [
-                config.seed,
-                f"{contrast.w_baseline:.6f}",
-                f"{contrast.w_stressed:.6f}",
-                f"{contrast.d_max_baseline:.6f}",
-                f"{contrast.d_max_stressed:.6f}",
-            ]
+        _write(
+            os.path.join(args.out, "contrast.csv"),
+            "seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed\n"
+            f"{config.seed},{contrast.w_baseline:.6f},{contrast.w_stressed:.6f},"
+            f"{contrast.d_max_baseline:.6f},{contrast.d_max_stressed:.6f}\n",
         )
-        _atomic_write(os.path.join(args.out, "contrast.csv"), buf.getvalue())
-    return 0
 
 
 def _parse_id_list(spec: str) -> set[int]:
@@ -257,17 +229,16 @@ def _parse_id_list(spec: str) -> set[int]:
     try:
         return {int(tok) for tok in spec.split(",")}
     except ValueError:
-        raise ValueError(f"bad --exclude list {spec!r}") from None
+        raise UsageError(f"bad --exclude list {spec!r}") from None
 
 
-def _read_file(path: str) -> str | None:
-    """Text with universal newlines, or None (error printed) if it cannot be opened."""
+def _read_file(path: str) -> str:
+    """Text with universal newlines."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        _err(f"error: cannot read {path}: {exc.strerror}")
-        return None
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -278,13 +249,18 @@ def _read_file(path: str) -> str | None:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _atomic_write(path: str, content: str) -> None:
-    """Write-then-rename so partially written artifacts never appear."""
+def _write(path: str, text: str) -> None:
+    """Write-then-rename, into a parent directory made if missing, so a partly
+    written file never appears; the file gets the mode ``open`` would give it."""
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.write(text)
+        umask = os.umask(0)  # os.umask only reads the mask by replacing it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -84,6 +84,15 @@ def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
     if m < 2:
         raise ValueError("need at least 2 units")
     centered = slice_.matrix - slice_.matrix.mean(axis=0)
+    # r does not depend on a column's scale, so each column is scaled by a
+    # power of two to a max |value| in [0.5, 1): squares of tiny or huge
+    # values neither underflow nor overflow, and an exact power-of-two factor
+    # commutes with every rounding below, so an r that neither did before
+    # keeps every bit
+    _, exponent = np.frexp(np.abs(centered).max(axis=0))
+    np.ldexp(centered, -exponent, out=centered)
+    # summed over the C-ordered `centered`: the F-ordered `sub` below sums in
+    # another order, with other last digits
     ss = (centered * centered).sum(axis=0)
     # all values equal, tested exactly: the centered sum of squares of a
     # constant with an inexact mean (0.7 over 3 values) is about 4e-32, not 0

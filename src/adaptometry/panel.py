@@ -248,18 +248,13 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
                 f"value {panel.values[p_i, u_i, i_i]} outside [0, 100]",
             )
         )
-    # across fewer than 2 units every variance is zero, and the run fails anyway
-    for p_i, period in enumerate(panel.periods if panel.n_units >= 2 else ()):
-        # all values equal, tested exactly: a constant with an inexact mean
-        # (0.7 over 3 units) has a variance of about 1e-32, not 0
-        block = panel.values[p_i]
-        for i_i in np.nonzero(block.min(axis=0) == block.max(axis=0))[0]:
-            report.warnings.append(
-                (
-                    f"({period}, {panel.indicators[i_i].id})",
-                    "zero variance across units",
-                )
-            )
+    # across fewer than 2 units every variance is zero, and the run fails anyway;
+    # all values equal, tested exactly: a constant with an inexact mean (0.7
+    # over 3 units) has a variance of about 1e-32, not 0
+    if panel.n_units >= 2:
+        for p_i, i_i in zip(*np.nonzero(panel.values.min(axis=1) == panel.values.max(axis=1))):
+            loc = f"({panel.periods[p_i]}, {panel.indicators[i_i].id})"
+            report.warnings.append((loc, "zero variance across units"))
     return report
 
 

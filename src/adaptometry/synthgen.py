@@ -70,14 +70,17 @@ class SynthConfig:
             )
         if not all(0.0 <= m <= 100.0 for m in self.baseline_means):
             raise SynthConfigError("baseline means must lie in [0, 100]")
-        if self.noise_sd <= 0:
-            raise SynthConfigError("noise_sd must be > 0")
-        if self.loading_baseline < 0 or self.loading_stressed < self.loading_baseline:
+        # written so that NaN fails each test
+        if not 0 < self.noise_sd < math.inf:
+            raise SynthConfigError("noise_sd must be finite and > 0")
+        if not 0 <= self.loading_baseline <= self.loading_stressed < math.inf:
             raise SynthConfigError(
-                "loadings must satisfy 0 <= loading_baseline <= loading_stressed"
+                "loadings must be finite and satisfy 0 <= loading_baseline <= loading_stressed"
             )
-        if self.variance_multiplier < 1:
-            raise SynthConfigError("variance_multiplier must be >= 1")
+        if not 1 <= self.variance_multiplier < math.inf:
+            raise SynthConfigError("variance_multiplier must be finite and >= 1")
+        if self.seed < 0:
+            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

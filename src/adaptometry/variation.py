@@ -30,16 +30,11 @@ class VariationError(ValueError):
 
 @dataclass(frozen=True)
 class GroupedIndicatorTable:
-    """n indicators x L groups matrix of prevalence rates.
-
-    ``overall`` optionally carries a whole-population column as metadata; it
-    never enters CV computation.
-    """
+    """n indicators x L groups matrix of prevalence rates."""
 
     indicator_ids: tuple[int, ...]
     groups: tuple[str, ...]
     values: np.ndarray  # (n, L)
-    overall: tuple[float, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)

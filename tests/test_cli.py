@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import json
+import os
 import pathlib
 import re
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -274,6 +276,39 @@ class TestAnalyze:
         assert (record["weight"], record["edge_count"], record["edges"]) == (0.0, 0, [])
 
 
+    def test_tiny_values_correlate_exactly(self, tmp_path, capsys):
+        # the squares of 1e-200 underflow to 0; the true r(1, 2) is 0.5
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"2020,{u},{i},x{i},{v!r}\n"
+                      for u, row in zip("abc", [(1e-200, 1, 2), (3e-200, 2, 4), (2e-200, 3, 6)])
+                      for i, v in enumerate(row, start=1))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        (record,) = json.loads((out / "report.json").read_text())["periods"]
+        assert [(e["i"], e["j"]) for e in record["edges"]] == [(2, 3)]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_output_files_follow_the_umask(self, panel_csv, grouped_csv, tmp_path, umask, mode):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["analyze", "--input", str(panel_csv), "--grouped", str(grouped_csv),
+                         "--plots", "--out", str(out / "analyze")]) == 0
+            assert main(["synth", "--config", str(config), "--out", str(out / "synth")]) == 0
+        finally:
+            os.umask(old)
+        modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode)
+                 for p in out.rglob("*") if p.is_file()}
+        assert len(modes) == 14
+        assert modes == dict.fromkeys(modes, mode)
+
+
 def _old_report_json(doc: dict, results) -> str:
     """The report.json writer before edges were formatted by hand: the reference."""
     doc = copy.deepcopy(doc)
@@ -438,6 +473,14 @@ class TestSynth:
             f"error: 40 units x {2**62} indicators x 2 periods exceeds 100000000 cells\n"
         )
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--seed=-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"

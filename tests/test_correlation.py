@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(ZeroVarianceError):
             am.pearson([5, 5, 5], [1, 2, 3])
+
+    def test_huge_values(self):
+        # the squares of 1e200 overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert am.pearson([1e200, -1e200, 0], [1, 2, 3]) == pytest.approx(-0.5, abs=1e-15)
 
     @pytest.mark.parametrize("sample", ["x", "y"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -163,6 +170,31 @@ class TestCorrelationMatrix:
         assert mat.undefined_pairs == {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
         assert np.isnan(mat.values[2:]).all() and np.isnan(mat.values[:, 2:]).all()
         assert am.build_network(mat, 0.7).edges == ()
+
+    def test_tiny_values(self):
+        # the squares of 1e-200 underflow to 0
+        s = am.PeriodSlice(
+            period="p",
+            units=("a", "b", "c"),
+            indicator_ids=(1, 2, 3),
+            matrix=np.array([[1e-200, 1.0, 2.0], [3e-200, 2.0, 4.0], [2e-200, 3.0, 6.0]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = am.correlation_matrix(s)
+        assert mat.values[0, 1] == pytest.approx(0.5, abs=1e-15)
+        assert [(e.i, e.j) for e in am.build_network(mat, 0.7).edges] == [(2, 3)]
+
+    @pytest.mark.parametrize("exponent", [-960, -600, 600, 960])
+    def test_power_of_two_column_scale_changes_no_bit(self, exponent):
+        s = random_slice(2)
+        matrix = s.matrix.copy()
+        matrix[:, 1] *= 2.0**exponent
+        scaled = am.PeriodSlice(s.period, s.units, s.indicator_ids, matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(am.correlation_matrix(scaled).values,
+                                  am.correlation_matrix(s).values)
 
     def test_csv_export(self, panel):
         mat = am.correlation_matrix(am.slice_period(panel, "2009-08"))

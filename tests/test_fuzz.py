@@ -1,12 +1,19 @@
 """Each input parser, given any text, returns its object or raises its own error.
 
 The CLI turns exactly these errors into a one-line message and an exit code,
-so any other exception would reach the user as a traceback.
+so any other exception would reach the user as a traceback. The last tests
+run the whole CLI on fuzzed inputs and options.
 """
+
+import contextlib
+import io
+import os
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaptometry.cli import main
 from adaptometry.panel import CSV_HEADER, IndicatorPanel, PanelError, parse_panel
 from adaptometry.synthgen import SynthConfig, SynthConfigError, parse_synth_config
 from adaptometry.variation import GroupedIndicatorTable, VariationError, parse_grouped_table
@@ -95,3 +102,145 @@ def test_parse_synth_config(text):
     except SynthConfigError:
         return
     assert isinstance(result, SynthConfig)
+
+
+# Panel values at the numerical edges: tiny values whose squares underflow,
+# the smallest normal and subnormal doubles, constants with inexact means
+# (0.7, 0.1) and the ends of [0, 100].
+VALUES = st.one_of(
+    st.sampled_from([
+        0.0, 100.0, 50.0, 0.7, 0.1, 1e-200, 2e-200, 3e-200, 2.2250738585072014e-308, 5e-324,
+        1e-15, 99.99999999999999,
+    ]),
+    st.floats(0, 100),
+)
+# Period labels in order, or else out of order, equal but for case, or naming no file.
+PERIODS = st.sampled_from([["2020"], ["2020", "2021"]]) | st.lists(
+    st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b"]),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@st.composite
+def panel_texts(draw):
+    """A dense panel of edge values, or any text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(texts(",".join(CSV_HEADER), 5))
+    periods = draw(PERIODS)
+    n_units, n_indicators = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = len(periods) * n_units * n_indicators
+    values = draw(st.lists(VALUES, min_size=size, max_size=size))
+    cells = [(p, u, i) for p in periods for u in range(n_units) for i in range(1, n_indicators + 1)]
+    rows = [f"{p},u{u},{i},x{i},{v!r}\n" for (p, u, i), v in zip(cells, values)]
+    return ",".join(CSV_HEADER) + "\n" + "".join(rows)
+
+
+@st.composite
+def grouped_texts(draw):
+    """A table over indicator ids 1-5 with edge values, or any text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(texts("indicator_id,group,value", 3))
+    ids = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    n_groups = draw(st.integers(1, 3))
+    rows = [f"{i},g{g},{draw(VALUES)!r}\n" for i in ids for g in range(n_groups)]
+    return "indicator_id,group,value\n" + "".join(rows)
+
+
+POSITIVE = st.sampled_from([1e-200, 5e-324, 1.0, 4.0]) | st.floats(0, 1e3, exclude_min=True)
+PERCENT = st.sampled_from([0.0, 1e-200, 100.0]) | st.floats(0, 100)
+
+
+@st.composite
+def synth_config_texts(draw):
+    """A valid config of small sizes and edge values, often with one key
+    replaced by a fuzz value or dropped, or any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text())
+    indicators = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.sampled_from(["2020-01", "2020-02", "2020-03"]),
+                           min_size=1, max_size=3, unique=True))
+    regimes = st.sampled_from(["baseline", "stressed"])
+    means = draw(st.lists(PERCENT, min_size=1, max_size=1) |
+                 st.lists(PERCENT, min_size=indicators, max_size=indicators))
+    loading_baseline, loading_stressed = sorted(draw(st.lists(PERCENT, min_size=2, max_size=2)))
+    config = {
+        "units": draw(st.integers(2, 6)),
+        "indicators": indicators,
+        "periods": ", ".join(f"{label}:{draw(regimes)}" for label in sorted(labels)),
+        "baseline_means": ", ".join(map(repr, means)),
+        "noise_sd": repr(draw(POSITIVE)),
+        "loading_baseline": repr(loading_baseline),
+        "loading_stressed": repr(loading_stressed),
+        "variance_multiplier": repr(1 + draw(POSITIVE)),
+        "seed": draw(st.integers(0, 2**64)),
+    }
+    key = draw(st.sampled_from(sorted(config)))
+    edit = draw(st.integers(0, 3))
+    if edit == 0:
+        del config[key]
+    elif edit == 1:
+        config[key] = draw(FIELDS | st.sampled_from(["-1", "nan", "inf", "1e308", "2020-01:calm"]))
+    return "".join(f"{key} = {value}\n" for key, value in config.items())
+
+
+def write(directory, name, text):
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def check_cli(argv, out):
+    """``main`` exits 0, 1 or 2, every stderr line is an error or a warning,
+    and a failed run leaves no ``out``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", out])
+    assert code in (0, 1, 2)
+    assert all(line.startswith(("error: ", "warning: "))
+               for line in stderr.getvalue().splitlines())
+    assert code == 0 or not os.path.exists(out)
+
+
+TINY_PANEL = ",".join(CSV_HEADER) + "\n" + "".join(
+    f"2020,{unit},{i},x{i},{v!r}\n"
+    for unit, row in zip("abc", [(1e-200, 1.0, 2.0), (3e-200, 2.0, 4.0), (2e-200, 3.0, 6.0)])
+    for i, v in enumerate(row, start=1)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    panel=panel_texts(),
+    grouped=st.none() | grouped_texts(),
+    threshold=st.none() | st.sampled_from(["0.5", "1e-200"]) | st.floats().map(repr),
+    exclude=st.none() | st.lists(FIELDS | st.integers(-1, 6).map(str), max_size=3).map(",".join),
+    policy=st.none() | st.sampled_from(["topk:0", "topk:9", "topk:-1", "threshold:0",
+                                        "threshold:1e-200", "threshold:nan", "threshold:-1",
+                                        "bogus"]) | st.text(max_size=8),
+    estimator=st.sampled_from(["sample", "unnormalized"]),
+    plots=st.booleans(),
+)
+@example(panel=TINY_PANEL, grouped=None, threshold=None, exclude=None, policy=None,
+         estimator="sample", plots=False)
+def test_cli_analyze(panel, grouped, threshold, exclude, policy, estimator, plots):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["analyze", "--input", write(tmp, "panel.csv", panel),
+                f"--cv-estimator={estimator}"] + ["--plots"] * plots
+        if grouped is not None:
+            argv += ["--grouped", write(tmp, "grouped.csv", grouped)]
+        for flag, value in (("threshold", threshold), ("exclude", exclude),
+                            ("flag-policy", policy)):
+            if value is not None:
+                argv.append(f"--{flag}={value}")
+        check_cli(argv, os.path.join(tmp, "out"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=synth_config_texts(), seed=st.none() | st.integers(-2, 2**64))
+def test_cli_synth(config, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["synth", "--config", write(tmp, "synth.cfg", config)]
+        if seed is not None:
+            argv.append(f"--seed={seed}")
+        check_cli(argv, os.path.join(tmp, "out"))

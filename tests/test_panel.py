@@ -148,6 +148,24 @@ class TestValidate:
         assert any("zero variance" in msg for _, msg in report.warnings)
         assert any("p01" in loc and "3" in loc for loc, _ in report.warnings)
 
+    def test_zero_variance_warnings_period_then_indicator(self):
+        p = small_panel(n_periods=3, n=5)
+        values = p.values.copy()
+        for period, indicator in ((2, 0), (0, 4), (2, 3), (0, 1), (1, 2)):
+            values[period, :, indicator] = 10.0 * indicator
+        report = am.validate(am.IndicatorPanel(p.periods, p.units, p.indicators, values))
+        # reference: a loop over periods, then indicators
+        expected = [
+            (f"({period}, {ind.id})", "zero variance across units")
+            for period, block in zip(p.periods, values)
+            for ind, column in zip(p.indicators, block.T)
+            if column.min() == column.max()
+        ]
+        assert report.warnings == expected
+        assert [loc for loc, _ in expected] == [
+            "(p00, 2)", "(p00, 5)", "(p01, 3)", "(p02, 1)", "(p02, 4)",
+        ]
+
     @pytest.mark.parametrize("value", [0.7, 0.1, 33.3])
     def test_inexact_constant_warns(self, value):
         p = small_panel(n_periods=2, m=6)

@@ -54,6 +54,18 @@ class TestConfig:
         with pytest.raises(SynthConfigError, match="increasing"):
             make_config(periods=(("2020-06", "baseline"), ("2020-01", "stressed")))
 
+    @pytest.mark.parametrize("field", [
+        "noise_sd", "loading_baseline", "loading_stressed", "variance_multiplier",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(SynthConfigError, match="finite"):
+            make_config(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SynthConfigError, match="seed must be >= 0"):
+            make_config(seed=-1)
+
     def test_panel_size_limit(self):
         with pytest.raises(SynthConfigError, match=f"exceeds {MAX_PANEL_CELLS} cells"):
             make_config(indicators=2**62, baseline_means=(50.0,))
