@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import PeriodResult, analyze
-from .correlation import matrix_to_csv
+from .correlation import CorrelationNetwork, matrix_to_csv
 from .dispersion import distances_to_csv
 from .panel import PanelError, parse_panel, serialize_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
@@ -169,7 +169,7 @@ def _period_record(result: PeriodResult) -> dict:
     return {
         "period": period,
         "weight": net.total_weight,
-        "edge_count": len(net.edges),
+        "edge_count": net.edge_weight.size,
         "edges": [],  # filled in by _report_json
         "degrees": {str(i): d for i, d in net.degrees.items()},
         "d_min": disp.d_min,
@@ -179,29 +179,40 @@ def _period_record(result: PeriodResult) -> dict:
     }
 
 
-# One edge as json.dumps(doc, indent=2) writes it inside a period record: json
-# renders an int with int.__repr__ and a finite float with float.__repr__, and
-# edge weights are finite because correlations are clipped to [-1, 1].
-_EDGE_JSON = '\n        {\n          "i": %d,\n          "j": %d,\n          "abs_r": %r\n        }'
-
-
 def _report_json(doc: dict, results: list[PeriodResult]) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` with each period's edges in its record.
 
     ``json`` encodes with ``indent`` in pure Python, which on a report of
-    many edges takes most of the run, so the edge lists are formatted here
-    and the encoder sees only empty ones.
+    many edges takes most of the run, so the edge lists are formatted here,
+    straight from the network's arrays, and the encoder sees only empty ones.
     """
     # json escapes every '"' inside a string, so no label can hold this text:
     # each occurrence is the "edges" key of one period record
     head, *tails = json.dumps(doc, indent=2).split('"edges": []')
     parts = [head]
     for (_, net, _), tail in zip(results, tails, strict=True):
-        edges = ",".join([_EDGE_JSON % e for e in net.edges])
-        parts.append(f'"edges": [{edges}\n      ]' if edges else '"edges": []')
-        parts.append(tail)
+        parts.append(_edges_json(net) + tail)
     parts.append("\n")
     return "".join(parts)
+
+
+def _edges_json(net: CorrelationNetwork) -> str:
+    """The "edges" entry of a period record as json.dumps(doc, indent=2) writes
+    it: json renders an int with int.__repr__ and a finite float with
+    float.__repr__, and edge weights are finite because correlations are
+    clipped to [-1, 1]. Python floats, not numpy scalars, whose repr differs."""
+    k = net.edge_weight.size
+    if not k:
+        return '"edges": []'
+    ids = net.matrix.indicator_ids
+    i_texts = [f'\n        {{\n          "i": {i},\n          "j": ' for i in ids]
+    j_texts = [f'{j},\n          "abs_r": ' for j in ids]
+    texts = ["\n        },"] * (4 * k)  # each fourth text closes an edge
+    texts[0::4] = map(i_texts.__getitem__, net.edge_a.tolist())
+    texts[1::4] = map(j_texts.__getitem__, net.edge_b.tolist())
+    texts[2::4] = map(float.__repr__, net.edge_weight.tolist())
+    texts[-1] = "\n        }\n      ]"
+    return '"edges": [' + "".join(texts)
 
 
 def _run_synth(args) -> None:
@@ -253,18 +264,21 @@ def _write(path: str, text: str) -> None:
     """Write-then-rename, into a parent directory made if missing, so a partly
     written file never appears; the file gets the mode ``open`` would give it."""
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)  # os.umask only reads the mask by replacing it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            umask = os.umask(0)  # os.umask only reads the mask by replacing it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _err(message: str) -> None:

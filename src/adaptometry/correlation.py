@@ -8,6 +8,7 @@ correlations is the stress index tracked across periods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,11 +68,26 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class CorrelationNetwork:
+    """The edges of a thresholded matrix, as three arrays in row-major
+    upper-triangle order."""
+
     matrix: CorrelationMatrix
     threshold: float
-    edges: tuple[Edge, ...]
+    edge_a: np.ndarray  # positions in matrix.indicator_ids, edge_a < edge_b
+    edge_b: np.ndarray
+    edge_weight: np.ndarray  # |r| of each edge
     total_weight: float
     degrees: dict[int, int]  # indicator id -> number of incident edges
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (id, id, |r|) tuples, built on first use."""
+        ids = self.matrix.indicator_ids
+        return tuple(
+            Edge(ids[a], ids[b], w)
+            for a, b, w in zip(self.edge_a.tolist(), self.edge_b.tolist(),
+                               self.edge_weight.tolist())
+        )
 
 
 def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
@@ -129,14 +145,17 @@ def build_network(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> C
     weights = np.abs(matrix.values[a, b])
     keep = weights > r0  # False for undefined (NaN) pairs
     a, b, weights = a[keep], b[keep], weights[keep]
-    edges = [Edge(ids[i], ids[j], w) for i, j, w in zip(a.tolist(), b.tolist(), weights.tolist())]
+    for array in (a, b, weights):  # edges caches what they hold
+        array.flags.writeable = False
     degrees = dict(zip(ids, np.bincount(np.concatenate([a, b]), minlength=matrix.n).tolist()))
     # left to right in edge order: np.sum adds pairwise and changes the last digits
     total = float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
     return CorrelationNetwork(
         matrix=matrix,
         threshold=r0,
-        edges=tuple(edges),
+        edge_a=a,
+        edge_b=b,
+        edge_weight=weights,
         total_weight=total,
         degrees=degrees,
     )

@@ -97,12 +97,14 @@ def generate_panel(config: SynthConfig) -> IndicatorPanel:
     Per period: one shared standard-normal factor draw per unit, one
     independent noise draw per cell. Stressed periods use the stressed
     loading and multiply the noise variance; values are clamped to [0, 100].
+    Raises SynthConfigError where a cell's factor and noise terms overflow
+    with opposite signs, so that the cell has no value.
     """
     rng = np.random.default_rng(config.seed)
     m, n = config.units, config.indicators
     means = np.asarray(config.baseline_means)
     values = np.empty((len(config.periods), m, n))
-    for p_i, (_, regime) in enumerate(config.periods):
+    for p_i, (label, regime) in enumerate(config.periods):
         stressed = regime == "stressed"
         loading = config.loading_stressed if stressed else config.loading_baseline
         sd = config.noise_sd * (
@@ -110,7 +112,13 @@ def generate_panel(config: SynthConfig) -> IndicatorPanel:
         )
         factor = rng.standard_normal(m)
         noise = rng.standard_normal((m, n))
-        values[p_i] = np.clip(means + loading * factor[:, None] + sd * noise, 0.0, 100.0)
+        # a term that overflows to +-inf has the sign of the exact sum, which
+        # the clamp takes to 0 or 100; two opposite infinite terms give NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = means + loading * factor[:, None] + sd * noise
+        if np.isnan(x).any():
+            raise SynthConfigError(f"period {label}: loading and noise_sd overflow")
+        values[p_i] = np.clip(x, 0.0, 100.0)
     width = len(str(m))
     return IndicatorPanel(
         periods=tuple(label for label, _ in config.periods),

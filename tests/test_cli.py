@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry.cli import _period_record, _report_json, main
-from adaptometry.correlation import Edge
 
 SYNTH_CONFIG = """\
 units = 40
@@ -276,6 +275,25 @@ class TestAnalyze:
         assert (record["weight"], record["edge_count"], record["edges"]) == (0.0, 0, [])
 
 
+    def test_huge_indicator_id_written_verbatim(self, tmp_path):
+        big = 10**23  # beyond int64: edges hold positions, not ids
+        factor = (10.0, 30.0, 20.0, 60.0)
+        csv = tmp_path / "big.csv"
+        csv.write_text("period,unit,indicator_id,indicator_name,value\n" + "".join(
+            f"2020,u{u},{i},x{i},{v}\n"
+            for u, f in enumerate(factor) for i, v in ((1, f), (2, (5, 6, 6, 5)[u]), (big, f / 2))
+        ))
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(csv), "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert f'"j": {big},' in text
+        (record,) = json.loads(text)["periods"]
+        assert [(e["i"], e["j"]) for e in record["edges"]] == [(1, big)]
+        assert record["degrees"] == {"1": 1, "2": 0, str(big): 1}
+        header, *rows = (out / "matrices" / "2020.csv").read_text().splitlines()
+        assert header == f"indicator_id,1,2,{big}"
+        assert rows[2].startswith(f"{big},1.00,")
+
     def test_tiny_values_correlate_exactly(self, tmp_path, capsys):
         # the squares of 1e-200 underflow to 0; the true r(1, 2) is 0.5
         path = tmp_path / "tiny.csv"
@@ -307,6 +325,33 @@ class TestAnalyze:
                  for p in out.rglob("*") if p.is_file()}
         assert len(modes) == 14
         assert modes == dict.fromkeys(modes, mode)
+
+
+class TestWriteErrors:
+    """A write that fails exits 2 with one error line, never a traceback, and
+    leaves no temporary file behind."""
+
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    def test_out_under_a_regular_file(self, command, panel_csv, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        source = ["--input", str(panel_csv)] if command == "analyze" else ["--config", str(config)]
+        assert main([command, *source, "--out", str(afile / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {afile / 'x'}")
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_failed_rename_removes_its_temporary(self, panel_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'report.json'}: Is a directory\n"
+        )
+        assert not list(out.rglob(".tmp-*"))
 
 
 def _old_report_json(doc: dict, results) -> str:
@@ -364,6 +409,12 @@ class TestReportJson:
         doc = _doc(results, threshold=0.7)
         assert _report_json(doc, results) == _old_report_json(doc, results)
 
+    def test_report_builds_no_edge_tuples(self, panel):
+        results = am.analyze(panel, 0.7)
+        _report_json(_doc(results, threshold=0.7), results)
+        assert all("edges" not in r.network.__dict__ for r in results)
+        assert sum(len(r.network.edges) for r in results) > 0
+
     def test_zero_periods(self):
         doc = _doc([], threshold=0.7)
         assert _report_json(doc, []) == _old_report_json(doc, []) == json.dumps(
@@ -376,8 +427,11 @@ class TestReportJson:
     )
     def test_weights_keep_their_repr(self, weights):
         (result,) = am.analyze(_panel(("p",), np.arange(18.0).reshape(1, 6, 3) ** 1.5), 0.5)
-        edges = tuple(Edge(i, j, w) for (i, j), w in zip(((1, 2), (1, 3), (2, 3)), weights))
-        result = result._replace(network=dataclasses.replace(result.network, edges=edges))
+        network = dataclasses.replace(  # edges (1, 2), (1, 3), (2, 3) by position
+            result.network, edge_a=np.array([0, 0, 1]), edge_b=np.array([1, 2, 2]),
+            edge_weight=np.array(weights),
+        )
+        result = result._replace(network=network)
         doc = _doc([result])
         text = _report_json(doc, [result])
         assert text == _old_report_json(doc, [result])

@@ -5,6 +5,7 @@ and ``serialize_panel`` and every ``parse_panel`` error message with its
 row number, so that faster implementations can be checked against them.
 """
 
+import dataclasses
 import re
 from unittest import mock
 
@@ -77,6 +78,27 @@ class TestWriters:
         assert again.units == quoted_panel.units
         assert again.indicators == quoted_panel.indicators
         assert np.array_equal(again.values, quoted_panel.values)
+
+    @pytest.mark.parametrize("field", ["period", "unit", "name"])
+    @pytest.mark.parametrize(
+        "boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                     "\u2028", "\u2029"],
+    )
+    def test_serialize_refuses_labels_holding_line_breaks(self, quoted_panel, field, boundary):
+        # parse_panel reads one row per str.splitlines() line, so such a label
+        # would be written and then fail to read back
+        label = f"a{boundary}b"
+        panel = quoted_panel
+        if field == "period":
+            panel = dataclasses.replace(panel, periods=(label,))
+        elif field == "unit":
+            panel = dataclasses.replace(panel, units=("A", label, "D"))
+        else:
+            panel = dataclasses.replace(
+                panel, indicators=(panel.indicators[0], am.Indicator(2, label), panel.indicators[2])
+            )
+        with pytest.raises(PanelError, match=re.escape(repr(label))):
+            am.serialize_panel(panel)
 
     def test_quoted_and_plain_rows_parse_alike(self):
         plain = am.parse_panel(HEADER + "2020,A,1,a,10\n2020,B,1,a,20.5\n")

@@ -6,15 +6,27 @@ run the whole CLI on fuzzed inputs and options.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
+import pathlib
+import sys
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptometry.cli import main
-from adaptometry.panel import CSV_HEADER, IndicatorPanel, PanelError, parse_panel
+from adaptometry.panel import (
+    CSV_HEADER,
+    IndicatorPanel,
+    PanelError,
+    _parse_lines,
+    _parse_plain,
+    parse_panel,
+)
 from adaptometry.synthgen import SynthConfig, SynthConfigError, parse_synth_config
 from adaptometry.variation import GroupedIndicatorTable, VariationError, parse_grouped_table
 
@@ -80,6 +92,102 @@ def test_parse_panel(text):
     assert isinstance(result, IndicatorPanel)
 
 
+# Panel values at the numerical edges: tiny values whose squares underflow,
+# the smallest normal and subnormal doubles, constants with inexact means
+# (0.7, 0.1) and the ends of [0, 100].
+VALUES = st.one_of(
+    st.sampled_from([
+        0.0, 100.0, 50.0, 0.7, 0.1, 1e-200, 2e-200, 3e-200, 2.2250738585072014e-308, 5e-324,
+        1e-15, 99.99999999999999,
+    ]),
+    st.floats(0, 100),
+)
+
+
+@st.composite
+def plain_grids(draw):
+    """A panel file as serialize_panel writes one, with at most one defect:
+    padded fields, a value that float reads in another form, a renamed
+    indicator, a duplicate or missing cell, or a value out of range."""
+    shape = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)))
+    rows = [
+        [f"p{p}", f"u{u}", str(i), f"x{i}", draw(VALUES.map(_value_text))]
+        for p in range(shape[0]) for u in range(shape[1]) for i in range(1, shape[2] + 1)
+    ]
+    k = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from(["none", "pad", "form", "rename", "duplicate", "missing",
+                                   "range"]))
+    if defect == "pad":  # in one row, or in every row
+        field = draw(st.integers(0, 4))
+        pad = draw(st.sampled_from([" ", "\t", "\u3000"]))
+        for row in rows if draw(st.booleans()) else [rows[k]]:
+            row[field] = pad + row[field] + draw(st.sampled_from(["", " "]))
+    elif defect == "form":
+        rows[k][4] = draw(st.sampled_from(["1e1", "+5", "1_0", "-0", "\u0663", "0x1", "5."]))
+    elif defect == "rename":
+        rows[k][3] += "y"
+    elif defect == "duplicate":  # an extra row, or one in place of another cell's
+        at = draw(st.integers(0, len(rows)))
+        rows[at:at + draw(st.integers(0, 1))] = [rows[k][:4] + ["7"]]
+    elif defect == "missing":
+        del rows[k]
+    elif defect == "range":
+        rows[k][4] = draw(st.sampled_from(["-1", "100.5", "nan", "inf", "1e400", "-1e-300"]))
+    return ",".join(CSV_HEADER) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _value_text(v: float) -> str:
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts(",".join(CSV_HEADER), 5) | plain_grids())
+@example(text=",".join(CSV_HEADER) + "\n 2020,A,1,a,-0\n 2020,B,1,a,1e1\n")
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,v,1,x,5\nb,u,1,x,5\nb,u,1,x,6\n")
+@example(text=",".join(CSV_HEADER) + "\na,1,1,x,5,2\n1,1,x,5\n")  # 6 fields, then 4
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,100.5\na,v,1,x,5\n")
+def test_parse_panel_is_the_line_parser(text):
+    """The column-at-a-time path gives what the line parser gives, or leaves
+    the text to it: the same panel, or the same error."""
+    try:
+        want = _parse_lines(text)
+    except PanelError as exc:
+        with pytest.raises(PanelError) as got:
+            parse_panel(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_panel(text)
+    assert (got.periods, got.units, got.indicators) == (want.periods, want.units, want.indicators)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+
+
+def _workloads():
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["reference", "tall", "wide", "synth"])
+def test_benchmark_inputs_take_the_column_path(name, tmp_path):
+    if name == "reference":
+        path = pathlib.Path(__file__).parent / "data" / "ukraine_fears_panel.csv"
+    else:
+        workload = _workloads().prepare(name, 1, tmp_path)
+        path = tmp_path / "panel.csv"
+        if name == "synth":  # the panel the synth op writes
+            assert main(workload.argv) == 0
+            path = workload.out / "panel.csv"
+    text = path.read_text()
+    got, want = _parse_plain(text), _parse_lines(text)
+    assert got is not None
+    assert (got.periods, got.units, got.indicators) == (want.periods, want.units, want.indicators)
+    assert np.array_equal(got.values, want.values)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=texts("indicator_id,group,value", 3))
 @example(text="indicator_id,group,value\n1,A,10\n1,B,20\n")
@@ -104,16 +212,6 @@ def test_parse_synth_config(text):
     assert isinstance(result, SynthConfig)
 
 
-# Panel values at the numerical edges: tiny values whose squares underflow,
-# the smallest normal and subnormal doubles, constants with inexact means
-# (0.7, 0.1) and the ends of [0, 100].
-VALUES = st.one_of(
-    st.sampled_from([
-        0.0, 100.0, 50.0, 0.7, 0.1, 1e-200, 2e-200, 3e-200, 2.2250738585072014e-308, 5e-324,
-        1e-15, 99.99999999999999,
-    ]),
-    st.floats(0, 100),
-)
 # Period labels in order, or else out of order, equal but for case, or naming no file.
 PERIODS = st.sampled_from([["2020"], ["2020", "2021"]]) | st.lists(
     st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b"]),

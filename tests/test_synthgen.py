@@ -135,6 +135,16 @@ class TestGenerate:
         assert panel.values.min() >= 0.0
         assert panel.values.max() <= 100.0
 
+    def test_overflowing_noise_clamps(self):
+        # noise_sd * noise overflows to +-inf, which the clamp takes to 100 or 0
+        panel = am.generate_panel(make_config(noise_sd=1e308))
+        assert set(np.unique(panel.values)) == {0.0, 100.0}
+
+    def test_opposite_infinite_terms_rejected(self):
+        config = make_config(loading_stressed=1e308, noise_sd=1e308, variance_multiplier=4.0)
+        with pytest.raises(SynthConfigError, match="period 2020-06: loading and noise_sd overflow"):
+            am.generate_panel(config)
+
     def test_quiet_baseline_has_no_strong_edges(self):
         # independent indicators at m=200: no |r| clears 0.7
         config = make_config(
