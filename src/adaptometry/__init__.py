@@ -20,7 +20,6 @@ from .correlation import (
 from .dispersion import (
     DispersionSummary,
     ball_diameter,
-    bounding_volume,
     distance_matrix,
     log_gamma_half_integer,
 )

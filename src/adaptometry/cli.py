@@ -24,11 +24,12 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import PeriodResult, analyze
-from .correlation import CorrelationNetwork, matrix_to_csv
+from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, matrix_to_csv
 from .dispersion import distances_to_csv
 from .panel import PanelError, parse_panel, serialize_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
+    ESTIMATORS,
     VariationError,
     flag_exclusions,
     parse_grouped_table,
@@ -65,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the full pipeline on a panel CSV")
     analyze.add_argument("--input", required=True, help="panel CSV path")
     analyze.add_argument(
-        "--threshold", type=float, default=0.7,
-        help="correlation threshold r0 in (0, 1), default 0.7",
+        "--threshold", type=float, default=DEFAULT_THRESHOLD,
+        help=f"correlation threshold r0 in (0, 1), default {DEFAULT_THRESHOLD}",
     )
     analyze.add_argument(
         "--exclude", default="",
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--grouped", help="grouped-table CSV for CV profiling")
     analyze.add_argument(
-        "--cv-estimator", choices=("sample", "unnormalized"), default="sample",
+        "--cv-estimator", choices=ESTIMATORS, default=ESTIMATORS[0],
     )
     analyze.add_argument(
         "--flag-policy", default="topk:2",

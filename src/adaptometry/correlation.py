@@ -177,11 +177,11 @@ def degree_counts(
     return counts, sum(counts.values())
 
 
-def matrix_to_csv(matrix: CorrelationMatrix, decimals: int = 2) -> str:
+def matrix_to_csv(matrix: CorrelationMatrix) -> str:
     """Render the matrix as CSV with an id header row/column; NaN is empty.
 
-    Entries read as ``"%.{decimals}f"`` writes them (see fixed_decimal_rows).
+    Entries read as ``"%.2f"`` writes them (see fixed_decimal_rows).
     """
     ids = [str(i) for i in matrix.indicator_ids]
     header = ",".join(["indicator_id", *ids]) + "\n"
-    return header + fixed_decimal_rows(ids, matrix.values, decimals)
+    return header + fixed_decimal_rows(ids, matrix.values)

@@ -59,16 +59,6 @@ def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
     return out
 
 
-def bounding_volume(slice_: PeriodSlice) -> float:
-    """Volume of the axis-aligned bounding box: product of per-indicator ranges.
-
-    Taken from log_bounding_volume, so it is inf where the product exceeds
-    double range.
-    """
-    log_v = log_bounding_volume(slice_)
-    return math.exp(log_v) if log_v < 709 else math.inf
-
-
 def log_bounding_volume(slice_: PeriodSlice) -> float:
     """Natural log of the bounding-box volume; -inf when any range is zero."""
     amplitudes = slice_.matrix.max(axis=0) - slice_.matrix.min(axis=0)
@@ -132,19 +122,19 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
         units=slice_.units,
         distance_matrix=dm,
         d_max=float(dm.max()),
-        volume=bounding_volume(slice_),
+        volume=math.exp(log_v) if log_v < 709 else math.inf,
         log_volume=log_v,
         d_min=ball_diameter_from_log(log_v, slice_.n_indicators),
         n_indicators=slice_.n_indicators,
     )
 
 
-def distances_to_csv(summary: DispersionSummary, decimals: int = 2) -> str:
+def distances_to_csv(summary: DispersionSummary) -> str:
     """Render the symmetric distance matrix as CSV with unit labels.
 
-    Entries read as ``"%.{decimals}f"`` writes them (see fixed_decimal_rows);
-    NaN, which no distance between valid units is, as an empty field.
+    Entries read as ``"%.2f"`` writes them (see fixed_decimal_rows); NaN,
+    which no distance between valid units is, as an empty field.
     """
     labels = [csv_field(unit) for unit in summary.units]
     header = ",".join(["unit", *labels]) + "\n"
-    return header + fixed_decimal_rows(labels, summary.distance_matrix, decimals)
+    return header + fixed_decimal_rows(labels, summary.distance_matrix)

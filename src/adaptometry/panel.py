@@ -22,13 +22,13 @@ CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 # temporaries: 0.9 MiB at peak beyond the result, against 3.3.
 _FORMAT_BLOCK_ELEMENTS = 2**14
 
-# fixed_decimal_rows rounds y = |x| * 10**d in numpy only where y < 2**31 and
-# d <= 22. Then 10**d is an exact double, so y is the exact product Y rounded
-# once to nearest; y < 2**31 implies Y < 2**31, so |y - Y| is at most half an
-# ulp below 2**31, 2**(30 - 52) / 2 = 2**-23. Where the fraction of y lies
-# further than _TIE_MARGIN (> 2**-23) from .5, Y is on the same side of
-# floor(y) + .5 as y and is no tie, so "%.{d}f", which rounds Y to nearest,
-# writes the digits of floor(y) + (fraction > .5). "%" writes every other entry.
+# fixed_decimal_rows rounds y = |x| * 100 in numpy only where y < 2**31. 100
+# is an exact double, so y is the exact product Y rounded once to nearest;
+# y < 2**31 implies Y < 2**31, so |y - Y| is at most half an ulp below 2**31,
+# 2**(30 - 52) / 2 = 2**-23. Where the fraction of y lies further than
+# _TIE_MARGIN (> 2**-23) from .5, Y is on the same side of floor(y) + .5 as y
+# and is no tie, so "%.2f", which rounds Y to nearest, writes the digits of
+# floor(y) + (fraction > .5). "%" writes every other entry.
 _FAST_LIMIT = 2.0**31
 _TIE_MARGIN = 1e-6
 
@@ -304,10 +304,10 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
     report = ValidationReport()
     folded: dict[str, str] = {}  # casefolded label -> first label with it
     for period in panel.periods:
-        if period in ("", ".", "..") or "/" in period or "\\" in period:
+        if period in ("", ".", "..") or "/" in period or "\\" in period or "\0" in period:
             report.errors.append((
                 f"period {period!r}",
-                "period labels name output files: not empty, '.' or '..', no '/' or '\\'",
+                "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL",
             ))
         first = folded.setdefault(period.casefold(), period)
         if first != period:
@@ -384,32 +384,30 @@ def csv_field(label: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def fixed_decimal_rows(labels: Sequence[str], values: np.ndarray, decimals: int) -> str:
+def fixed_decimal_rows(labels: Sequence[str], values: np.ndarray) -> str:
     """CSV rows ``label,v,...,v``, one per row of ``values``, each ending in a newline.
 
-    Each entry reads exactly as ``"%.{decimals}f" % v`` writes it, and NaN as
-    an empty field. Rows go in blocks of at most _FORMAT_BLOCK_ELEMENTS
+    Each entry reads exactly as ``"%.2f" % v`` writes it, and NaN as an
+    empty field. Rows go in blocks of at most _FORMAT_BLOCK_ELEMENTS
     entries (or one row), so the temporaries stay bounded whatever the
     matrix size.
     """
-    if decimals < 0:
-        raise ValueError(f"decimals must be >= 0, got {decimals}")
     values = np.asarray(values, dtype=float)
     step = max(1, _FORMAT_BLOCK_ELEMENTS // max(values.shape[1], 1))
     return "".join(
-        _fixed_decimal_block(labels[s:s + step], values[s:s + step], decimals)
+        _fixed_decimal_block(labels[s:s + step], values[s:s + step])
         for s in range(0, len(values), step)
     )
 
 
-def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray, decimals: int) -> str:
+def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
     """Round each entry in numpy and lay out its ASCII text right-aligned in a
     uint8 grid, one fixed-width slot per entry, padded with spaces that are
     then dropped: no other byte of the output is a space."""
     nan = np.isnan(block)
     with np.errstate(over="ignore"):  # an inf product only fails the guard
-        y = np.abs(block) * float(10 ** min(decimals, 22))
-    fast = y < (_FAST_LIMIT if decimals <= 22 else -1.0)  # False for NaN and inf
+        y = np.abs(block) * 100.0
+    fast = y < _FAST_LIMIT  # False for NaN and inf
     y[~fast] = 0.0
     whole = np.floor(y)
     frac = y - whole  # exact
@@ -417,9 +415,8 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray, decimals: int
     fast &= ~slow
     k = whole.astype(np.uint32) + (frac > 0.5)  # at most 2**31
 
-    point = 1 if decimals else 0
-    width = max(decimals + 1, len(str(k.max(initial=0))))  # digits in the widest entry
-    slot = 2 + width + point  # comma, sign, then digits and point
+    width = max(3, len(str(k.max(initial=0))))  # digits in the widest entry
+    slot = 3 + width  # comma, sign, then digits and point
     rows, n = block.shape
     lines = np.full((rows, n * slot + 1), ord(" "), np.uint8)
     lines[:, -1] = ord("\n")
@@ -427,20 +424,19 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray, decimals: int
     grid[..., 0] = ord(",")
     rest = k
     for j in range(width):  # j-th digit from the right
-        col = slot - 1 - j - (point if j >= decimals else 0)
+        col = slot - 1 - j - (j >= 2)  # from the units digit on, left of the point
         quotient = rest // 10
         digit = (rest - 10 * quotient + ord("0")).astype(np.uint8)
-        # the first decimals + 1 digits always show, the rest up to the leading one
-        grid[..., col] = digit if j <= decimals else np.where(rest > 0, digit, ord(" "))
+        # the first 3 digits (d.dd) always show, the rest up to the leading one
+        grid[..., col] = digit if j <= 2 else np.where(rest > 0, digit, ord(" "))
         rest = quotient
-    if point:
-        grid[..., slot - 1 - decimals] = ord(".")
+    grid[..., slot - 3] = ord(".")
     grid[~fast, 2:] = ord(" ")  # NaN and "%" entries
     grid[..., 1] = np.where(fast & np.signbit(block), ord("-"), ord(" "))
     grid[slow, 1] = 0  # NUL marks where a "%" text goes
 
     text = lines.tobytes().translate(None, b" ").decode("ascii")
-    patches = iter([f"%.{decimals}f" % v for v in block[slow].tolist()])  # row-major, as the NULs
+    patches = iter(["%.2f" % v for v in block[slow].tolist()])  # row-major, as the NULs
     out = []
     for label, row, patched in zip(labels, text.split("\n"), slow.any(axis=1).tolist()):
         if patched:

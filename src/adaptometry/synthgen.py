@@ -10,7 +10,7 @@ correlation-and-dispersion escalation the toolkit is meant to detect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -128,18 +128,19 @@ def generate_panel(config: SynthConfig) -> IndicatorPanel:
     )
 
 
-def stress_contrast(config: SynthConfig, r0: float = 0.7) -> StressContrast:
+def stress_contrast(config: SynthConfig) -> StressContrast:
     """Generate a panel and compare indicators between the two regimes.
 
-    Returns regime means of the network total weight and of d_max; requires
-    at least one baseline and one stressed period.
+    Returns regime means of the network total weight, at the default
+    threshold, and of d_max; requires at least one baseline and one
+    stressed period.
     """
     regimes = [regime for _, regime in config.periods]
     if "baseline" not in regimes or "stressed" not in regimes:
         raise SynthConfigError("need at least one baseline and one stressed period")
     w = {"baseline": [], "stressed": []}
     d = {"baseline": [], "stressed": []}
-    for regime, result in zip(regimes, analyze(generate_panel(config), r0)):
+    for regime, result in zip(regimes, analyze(generate_panel(config))):
         w[regime].append(result.network.total_weight)
         d[regime].append(result.dispersion.d_max)
     return StressContrast(
@@ -150,13 +151,20 @@ def stress_contrast(config: SynthConfig, r0: float = 0.7) -> StressContrast:
     )
 
 
+# The numeric SynthConfig fields and their types, in the order they are
+# read, so the first bad value is the one reported.
+_NUMERIC_KEYS = (
+    ("units", int), ("indicators", int), ("seed", int), ("noise_sd", float),
+    ("loading_baseline", float), ("loading_stressed", float), ("variance_multiplier", float),
+)
+
+
 def parse_synth_config(text: str) -> SynthConfig:
     """Parse a plain ``key = value`` config file.
 
-    Keys: units, indicators, periods (comma list of ``label:regime``),
-    baseline_means (comma list, or a single value applied to all
-    indicators), noise_sd, loading_baseline, loading_stressed,
-    variance_multiplier, seed. ``#`` starts a comment.
+    The keys are SynthConfig's fields, each given once: periods is a comma
+    list of ``label:regime``, baseline_means a comma list or a single value
+    applied to all indicators. ``#`` starts a comment.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -167,10 +175,7 @@ def parse_synth_config(text: str) -> SynthConfig:
         if not sep:
             raise SynthConfigError(f"line {lineno}: expected key = value")
         raw[key.strip()] = value.strip()
-    required = {
-        "units", "indicators", "periods", "baseline_means", "noise_sd",
-        "loading_baseline", "loading_stressed", "variance_multiplier", "seed",
-    }
+    required = {f.name for f in fields(SynthConfig)}
     missing = required - raw.keys()
     if missing:
         raise SynthConfigError(f"missing config keys: {sorted(missing)}")
@@ -178,13 +183,7 @@ def parse_synth_config(text: str) -> SynthConfig:
     if unknown:
         raise SynthConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        units = int(raw["units"])
-        indicators = int(raw["indicators"])
-        seed = int(raw["seed"])
-        noise_sd = float(raw["noise_sd"])
-        loading_baseline = float(raw["loading_baseline"])
-        loading_stressed = float(raw["loading_stressed"])
-        variance_multiplier = float(raw["variance_multiplier"])
+        numbers = {key: kind(raw[key]) for key, kind in _NUMERIC_KEYS}
     except ValueError as exc:
         raise SynthConfigError(f"bad numeric value: {exc}") from None
     periods = []
@@ -193,19 +192,9 @@ def parse_synth_config(text: str) -> SynthConfig:
         if not sep:
             raise SynthConfigError(f"bad period token {tok!r}, expected label:regime")
         periods.append((label, regime))
-    _check_size(units, indicators, len(periods))
-    means = _parse_means(raw["baseline_means"], indicators)
-    return SynthConfig(
-        units=units,
-        indicators=indicators,
-        periods=tuple(periods),
-        baseline_means=means,
-        noise_sd=noise_sd,
-        loading_baseline=loading_baseline,
-        loading_stressed=loading_stressed,
-        variance_multiplier=variance_multiplier,
-        seed=seed,
-    )
+    _check_size(numbers["units"], numbers["indicators"], len(periods))
+    means = _parse_means(raw["baseline_means"], numbers["indicators"])
+    return SynthConfig(periods=tuple(periods), baseline_means=means, **numbers)
 
 
 def _parse_means(spec: str, n: int) -> tuple[float, ...]:

@@ -159,7 +159,7 @@ def flag_exclusions(profile: VariationProfile, policy: str) -> set[int]:
             t = float(arg)
         except ValueError:
             raise VariationError(f"bad threshold policy {policy!r}") from None
-        if t < 0:
+        if not t >= 0:  # written so that NaN fails it
             raise VariationError(f"threshold t={t} must be >= 0")
         scores = profile.selected
         return {i for i in profile.ranking if scores[i] > t}
@@ -175,8 +175,8 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
     lines = [
         ln for ln in csv_text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    try:
-        rows = list(csv.reader(lines))
+    try:  # one row per line, as in parse_panel: an open quote ends with its line
+        rows = [next(csv.reader([ln])) if '"' in ln else ln.split(",") for ln in lines]
     except csv.Error as exc:  # a quoted field longer than csv.field_size_limit()
         raise VariationError(str(exc)) from None
     if not rows:

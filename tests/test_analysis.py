@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import adaptometry as am
+from adaptometry.correlation import DEFAULT_THRESHOLD
 from oracles import oracle_ball_diameter, oracle_distance, oracle_total_weight, oracle_volume
 
 
@@ -53,8 +54,8 @@ def test_stress_contrast_is_a_regime_average():
         variance_multiplier=2.0,
         seed=3,
     )
-    contrast = am.stress_contrast(config, 0.6)
-    b1, s1, b2, s2 = am.analyze(am.generate_panel(config), 0.6)
+    contrast = am.stress_contrast(config)
+    b1, s1, b2, s2 = am.analyze(am.generate_panel(config), DEFAULT_THRESHOLD)
     assert contrast.w_baseline == float(np.mean([b1.network.total_weight, b2.network.total_weight]))
     assert contrast.w_stressed == float(np.mean([s1.network.total_weight, s2.network.total_weight]))
     assert contrast.d_max_baseline == float(np.mean([b1.dispersion.d_max, b2.dispersion.d_max]))

@@ -5,6 +5,7 @@ import os
 import pathlib
 import re
 import stat
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -205,6 +206,28 @@ class TestAnalyze:
         )
         assert code == 2
         assert "99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("no_color,red,yellow,reset", [
+        (None, "\x1b[31m", "\x1b[33m", "\x1b[0m"), ("1", "", "", ""),
+    ], ids=["coloured", "ADAPTOMETRY_NO_COLOR"])
+    def test_diagnostics_on_a_terminal(self, tmp_path, capsys, monkeypatch,
+                                       no_color, red, yellow, reset):
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "period,unit,indicator_id,indicator_name,value\n2020,a,1,x,5\n2020,b,1,x,5\n"
+        )
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        if no_color is None:
+            monkeypatch.delenv("ADAPTOMETRY_NO_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("ADAPTOMETRY_NO_COLOR", no_color)
+        code = main(["analyze", "--input", str(path), "--exclude", "9",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"{yellow}warning: (2020, 1): zero variance across units{reset}\n"
+            f"{red}error: --exclude ids not in panel: [9]{reset}\n"
+        )
 
     def test_excluding_every_indicator_exits_2(self, panel_csv, tmp_path, capsys):
         out = tmp_path / "out"

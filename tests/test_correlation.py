@@ -196,6 +196,10 @@ class TestCorrelationMatrix:
             assert np.array_equal(am.correlation_matrix(scaled).values,
                                   am.correlation_matrix(s).values)
 
+    def test_single_unit_is_error(self):
+        with pytest.raises(ValueError, match="need at least 2 units"):
+            am.correlation_matrix(am.PeriodSlice("p", ("a",), (1, 2), np.array([[1.0, 2.0]])))
+
     def test_csv_export(self, panel):
         mat = am.correlation_matrix(am.slice_period(panel, "2009-08"))
         lines = matrix_to_csv(mat).splitlines()

@@ -124,6 +124,10 @@ class TestDistanceMatrix:
                 expected = oracle_distance(rows[a], rows[b])
                 assert dm[a, b] == dm[b, a] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
+    def test_single_unit_is_error(self):
+        with pytest.raises(ValueError, match="need at least 2 units"):
+            am.distance_matrix(random_slice(0, m=1))
+
     def test_no_indicators_gives_zeros(self):
         s = am.PeriodSlice("p", ("a", "b", "c"), (), np.empty((3, 0)))
         dm = am.distance_matrix(s)
@@ -167,15 +171,15 @@ class TestBoundingVolume:
         s = random_slice(2)
         m = s.matrix.copy()
         m[:, 3] = 9.0
-        assert am.bounding_volume(am.PeriodSlice(s.period, s.units, s.indicator_ids, m)) == 0.0
+        assert dispersion_summary(am.PeriodSlice(s.period, s.units, s.indicator_ids, m)).volume == 0.0
 
     def test_rectangle(self):
         s = am.PeriodSlice("p", ("a", "b"), (1, 2), np.array([[0.0, 0.0], [2.0, 5.0]]))
-        assert am.bounding_volume(s) == pytest.approx(10.0)
+        assert dispersion_summary(s).volume == pytest.approx(10.0)
 
     def test_reference_period_matches_oracle(self, panel):
         s = am.slice_period(panel, "2009-08")
-        assert am.bounding_volume(s) == pytest.approx(
+        assert dispersion_summary(s).volume == pytest.approx(
             oracle_volume(s.matrix.tolist()), rel=1e-12
         )
 
@@ -183,7 +187,6 @@ class TestBoundingVolume:
         # 90**200 exceeds double range; the product form overflowed with a RuntimeWarning
         matrix = np.vstack([np.zeros(200), np.full(200, 90.0)])
         s = am.PeriodSlice("p", ("a", "b"), tuple(range(1, 201)), matrix)
-        assert am.bounding_volume(s) == math.inf
         summary = dispersion_summary(s)
         assert summary.volume == math.inf
         assert summary.log_volume == pytest.approx(200 * math.log(90.0), rel=1e-12)
@@ -191,7 +194,7 @@ class TestBoundingVolume:
     def test_log_volume_consistent(self, panel):
         s = am.slice_period(panel, "2009-08")
         assert log_bounding_volume(s) == pytest.approx(
-            math.log(am.bounding_volume(s)), rel=1e-12
+            math.log(dispersion_summary(s).volume), rel=1e-12
         )
 
 
@@ -237,13 +240,18 @@ class TestBallDiameter:
     def test_zero_volume(self):
         assert am.ball_diameter(0.0, 19) == 0.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_dimension(self, n):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            ball_diameter_from_log(1.0, n)
+
     def test_negative_volume(self):
         with pytest.raises(ValueError):
             am.ball_diameter(-1.0, 3)
 
     def test_n19_reference_volume_against_plain_oracle(self, panel):
         s = am.slice_period(panel, "2009-08")
-        v = am.bounding_volume(s)
+        v = dispersion_summary(s).volume
         assert am.ball_diameter(v, 19) == pytest.approx(
             oracle_ball_diameter(v, 19), rel=1e-9
         )

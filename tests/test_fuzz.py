@@ -214,7 +214,7 @@ def test_parse_synth_config(text):
 
 # Period labels in order, or else out of order, equal but for case, or naming no file.
 PERIODS = st.sampled_from([["2020"], ["2020", "2021"]]) | st.lists(
-    st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b"]),
+    st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b", "a\x00b"]),
     min_size=1, max_size=3, unique=True,
 )
 
@@ -321,6 +321,8 @@ TINY_PANEL = ",".join(CSV_HEADER) + "\n" + "".join(
 )
 @example(panel=TINY_PANEL, grouped=None, threshold=None, exclude=None, policy=None,
          estimator="sample", plots=False)
+@example(panel=TINY_PANEL.replace("2020", "a\x00b"), grouped=None, threshold=None, exclude=None,
+         policy=None, estimator="sample", plots=False)
 def test_cli_analyze(panel, grouped, threshold, exclude, policy, estimator, plots):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["analyze", "--input", write(tmp, "panel.csv", panel),

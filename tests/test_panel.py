@@ -85,6 +85,12 @@ class TestParse:
         assert np.allclose(again.values, p.values)
 
 
+    def test_values_shape_must_match_labels(self):
+        with pytest.raises(PanelError, match=r"values shape \(1, 2, 1\) != \(1, 2, 2\)"):
+            am.IndicatorPanel(("p",), ("a", "b"), (am.Indicator(1, "x"), am.Indicator(2, "y")),
+                              np.zeros((1, 2, 1)))
+
+
 class TestExclude:
     def test_reference_exclusion(self, panel):
         reduced = am.exclude_indicators(panel, {17, 19})
@@ -195,11 +201,21 @@ class TestValidate:
         assert report.errors == [("units", "need at least 2 units, got 1")]
         assert report.warnings == []
 
-    @pytest.mark.parametrize("label", ["", ".", "..", "../x", "a/b", "a\\b"])
+    @pytest.mark.parametrize("label", ["", ".", "..", "../x", "a/b", "a\\b", "a\x00b"])
     def test_period_label_unusable_as_file_name_is_error(self, label):
         p = small_panel(n_periods=1)
         report = am.validate(am.IndicatorPanel((label,), p.units, p.indicators, p.values))
         assert [loc for loc, _ in report.errors] == [f"period {label!r}"]
+
+    @pytest.mark.parametrize("units,ids,error", [
+        (("u0", "u1", "u0", "u3"), (1, 2, 3, 4, 5), ("units", "duplicate unit labels")),
+        (("u0", "u1", "u2", "u3"), (1, 2, 1, 4, 5), ("indicators", "duplicate indicator ids")),
+    ], ids=["units", "indicator ids"])
+    def test_duplicate_labels_are_error(self, units, ids, error):
+        p = small_panel()
+        indicators = tuple(am.Indicator(i, f"ind{k}") for k, i in enumerate(ids))
+        report = am.validate(am.IndicatorPanel(p.periods, units, indicators, p.values))
+        assert report.errors == [error]
 
     @pytest.mark.parametrize("labels", [("2020-A", "2020-a"), ("STRASSE", "straße")])
     def test_period_labels_equal_but_for_case_are_error(self, labels):

@@ -62,6 +62,17 @@ class TestConfig:
         with pytest.raises(SynthConfigError, match="finite"):
             make_config(**{field: value})
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"indicators": 0, "baseline_means": ()}, "need at least 1 indicator"),
+        ({"periods": ()}, "need at least 1 period"),
+        ({"baseline_means": (50.0,) * 5 + (100.5,)}, "baseline means must lie in [0, 100]"),
+        ({"baseline_means": (-1.0,) + (50.0,) * 5}, "baseline means must lie in [0, 100]"),
+    ], ids=["no indicators", "no periods", "mean above 100", "negative mean"])
+    def test_out_of_range_rejected(self, overrides, message):
+        with pytest.raises(SynthConfigError) as info:
+            make_config(**overrides)
+        assert str(info.value) == message
+
     def test_negative_seed_rejected(self):
         with pytest.raises(SynthConfigError, match="seed must be >= 0"):
             make_config(seed=-1)
@@ -100,6 +111,21 @@ seed = 1
     def test_unknown_key(self):
         with pytest.raises(SynthConfigError, match="unknown"):
             parse_synth_config(self.TEXT + "extra = 1\n")
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"2020-01:baseline": "2020-01"}, "bad period token '2020-01', expected label:regime"),
+        ({"means = 50": "means = 50, high"}, "bad baseline_means '50, high'"),
+        # the numbers are read units, indicators, seed, then the floats
+        ({"sd = 5.0": "sd = loud", "seed = 1": "seed = s"},
+         "bad numeric value: invalid literal for int() with base 10: 's'"),
+    ], ids=["period token", "means", "first bad number"])
+    def test_bad_value(self, edits, message):
+        text = self.TEXT
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        with pytest.raises(SynthConfigError) as info:
+            parse_synth_config(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("units", ["50", "0", "-3"])
     def test_oversized_panel_is_rejected_before_the_means(self, units):

@@ -83,6 +83,21 @@ class TestVariationTable:
         profile = am.variation_table(table)
         assert profile.ranking == (5,)
 
+    def test_unknown_estimator(self, grouped_table):
+        with pytest.raises(VariationError, match="unknown estimator 'median'"):
+            am.variation_table(grouped_table, "median")
+
+    @pytest.mark.parametrize("values,message", [
+        ([[1.0, 2.0, 3.0]], "values shape (1, 3) != (1, 2)"),
+        ([[1.0, -2.0]], "values must be finite and >= 0"),
+        ([[1.0, np.nan]], "values must be finite and >= 0"),
+        ([[np.inf, 1.0]], "values must be finite and >= 0"),
+    ], ids=["shape", "negative", "nan", "inf"])
+    def test_invalid_table(self, values, message):
+        with pytest.raises(VariationError) as info:
+            am.GroupedIndicatorTable((1,), ("A", "B"), np.array(values))
+        assert str(info.value) == message
+
     def test_undefined_cv_recorded_and_omitted(self):
         table = am.GroupedIndicatorTable(
             (1, 2), ("a", "b"), np.array([[0.0, 0.0], [1.0, 3.0]])
@@ -123,6 +138,18 @@ class TestFlagExclusions:
         with pytest.raises(VariationError):
             am.flag_exclusions(profile, "best:2")
 
+    @pytest.mark.parametrize("policy,message", [
+        ("topk:two", "bad topk policy 'topk:two'"),
+        ("threshold:high", "bad threshold policy 'threshold:high'"),
+        ("threshold:-1", "threshold t=-1.0 must be >= 0"),
+        ("threshold:nan", "threshold t=nan must be >= 0"),
+    ], ids=["topk not an integer", "threshold not a number", "negative threshold", "nan threshold"])
+    def test_bad_policy_argument(self, printed_cv, policy, message):
+        profile = VariationProfile.from_scores(printed_cv)
+        with pytest.raises(VariationError) as info:
+            am.flag_exclusions(profile, policy)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("seed", range(30))
     def test_topk_is_ranking_prefix(self, seed):
         rng = np.random.default_rng(seed)
@@ -139,6 +166,10 @@ GROUPED_ERRORS = {
     "field count": (GROUPED_HEADER + "1,a,3,4\n", "expected 3 fields, got ['1', 'a', '3', '4']"),
     "value": (GROUPED_HEADER + "1,g1,abc\n", "bad row ['1', 'g1', 'abc']"),
     "duplicate": (GROUPED_HEADER + "1,a,3\n1,a,4\n", "duplicate cell (1, 'a')"),
+    "open quote ends with its line": (
+        GROUPED_HEADER + '1,"a,3\n2,b,4\n3,c,5\n', "expected 3 fields, got ['1', 'a,3']"
+    ),
+    "quoted line break": (GROUPED_HEADER + '1,"a\n",3\n', "expected 3 fields, got ['1', 'a']"),
     "oversized quoted field": (
         GROUPED_HEADER + '1,"' + "x" * 140_000 + '",3\n',
         "field larger than field limit (131072)",
