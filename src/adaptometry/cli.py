@@ -113,6 +113,8 @@ def _run_analyze(args) -> None:
     flagged: list[int] = []
     if grouped_raw is not None:
         profile = variation_table(parse_grouped_table(grouped_raw), args.cv_estimator)
+        for ind_id, msg in profile.errors:
+            _err(f"warning: indicator {ind_id}: {msg}")
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
     results = analyze(panel, args.threshold, exclude)
 

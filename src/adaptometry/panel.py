@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,11 +32,10 @@ _FORMAT_BLOCK_ELEMENTS = 2**14
 _FAST_LIMIT = 2.0**31
 _TIE_MARGIN = 1e-6
 
-# Lines per chunk of _parse_plain: each chunk's joined text and field lists
-# are the temporaries beyond the result. Parse time was flat from 2**9 to
-# 2**13 lines; peak RSS of a whole 400x20x4 analyze was 53.3 MiB at 2**10
-# (54.6 with the line parser alone), 55.2 at 2**12 and 58.0 at 2**13.
-_PLAIN_CHUNK_LINES = 2**10
+# Data lines per chunk of parse_panel: each chunk's text and field lists are
+# the temporaries beyond the result. Parse time was flat from 2**9 to 2**13
+# lines; peak RSS of a whole 400x20x4 analyze was 53.3 MiB at 2**10, 58.0 at 2**13.
+_CHUNK_LINES = 2**10
 
 
 class PanelError(ValueError):
@@ -124,66 +123,100 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     indicators follows first appearance. Every (period, unit, indicator)
     combination must appear exactly once. Rows are numbered by source line
     and a row never spans lines; lines holding ``"`` are read with standard
-    CSV quoting.
+    CSV quoting, and surrounding whitespace in a field is dropped.
+
+    The rows are read a column at a time, _CHUNK_LINES lines at once. An
+    error names the first bad row and, on it, the first check that fails, in
+    this order: CSV quoting, field count, indicator id, value, range,
+    indicator name, duplicate cell. Each check reads only the rows before
+    the earliest failure found so far.
     """
-    panel = _parse_plain(csv_text)
-    return _parse_lines(csv_text) if panel is None else panel
-
-
-def _parse_plain(csv_text: str) -> IndicatorPanel | None:
-    """The panel of a plain file, read a column at a time; None where
-    _parse_lines must decide.
-
-    Plain: the exact header first, no ``"`` or ``#`` anywhere, 5 fields on
-    every other line, and a complete, duplicate-free grid of in-range values
-    with one name per id. Each field goes through the same ``str.strip``,
-    ``int`` and ``float`` as in _parse_lines, so a plain file gives the panel
-    _parse_lines gives; every other file, valid or not, is left to it, the
-    only source of error messages.
-    """
-    if '"' in csv_text or "#" in csv_text:
-        return None
     lines = csv_text.splitlines()
-    if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER):
-        return None
-    if set(map(str.count, islice(lines, 1, None), repeat(","))) != {4}:
-        return None  # before any chunk: a blank line at the end is common
+    linenos: Sequence[int] = range(1, len(lines) + 1)
+    if "#" in csv_text:
+        kept = [not line.lstrip().startswith("#") for line in lines]
+        lines, linenos = list(compress(lines, kept)), list(compress(linenos, kept))
+    if not lines:
+        raise PanelError("empty input")
+    header = _csv_row(lines[0])
+    if isinstance(header, str):
+        raise PanelError(f"row {linenos[0]}: {header}")
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise PanelError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
+
+    quoted = '"' in csv_text
     periods: dict[str, int] = {}  # label -> position, in first-appearance order
     units: dict[str, int] = {}
     ind_index: dict[int, int] = {}  # id -> position
     names: dict[int, str] = {}  # id -> name
-    codes: list[tuple[np.ndarray, ...]] = []  # per chunk: positions and values
-    try:
-        for start in range(1, len(lines), _PLAIN_CHUNK_LINES):
-            chunk = lines[start:start + _PLAIN_CHUNK_LINES]
+    codes: list[tuple] = []  # per chunk: positions, values and line numbers
+    error = None  # the message for the row at the cut
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk, nos = lines[start:start + _CHUNK_LINES], linenos[start:start + _CHUNK_LINES]
+        fields = None
+        if not quoted and set(map(str.count, chunk, repeat(","))) == {4}:
             fields = ",".join(chunk).split(",")
-            period, unit, ind_id, name = (
-                list(map(str.strip, fields[k::5])) for k in range(4)
-            )
-            ind_id = list(map(int, ind_id))
-            for label, known in dict.fromkeys(zip(ind_id, name)):
-                if names.setdefault(label, known) != known:
-                    return None  # renamed
-                ind_index.setdefault(label, len(ind_index))
-            for index, column in ((periods, period), (units, unit)):
-                for label in dict.fromkeys(column):
-                    index.setdefault(label, len(index))
-            codes.append((
-                np.fromiter(map(periods.__getitem__, period), np.intp, len(chunk)),
-                np.fromiter(map(units.__getitem__, unit), np.intp, len(chunk)),
-                np.fromiter(map(ind_index.__getitem__, ind_id), np.intp, len(chunk)),
-                np.fromiter(map(float, map(str.strip, fields[4::5])), float, len(chunk)),
-            ))
-    except ValueError:  # a field int or float does not read
-        return None
-    p_at, u_at, i_at, value = map(np.concatenate, zip(*codes))
-    if not ((value >= 0.0) & (value <= 100.0)).all():  # also false for NaN
-        return None
+        if fields is None or "" in map(str.strip, fields[2::5]):  # blank rows have no id
+            fields, nos, error = _split_lines(chunk, nos)
+        period, unit, raw_id, name, raw_value = (
+            list(map(str.strip, fields[k::5])) for k in range(5)
+        )
+        ind_id = _read_prefix(int, raw_id)
+        cut = len(ind_id)
+        if cut < len(raw_id):
+            error = f"row {nos[cut]}: non-integer indicator_id {raw_id[cut]!r}"
+        value = _read_prefix(float, raw_value[:cut])
+        if len(value) < cut:
+            cut = len(value)
+            error = f"row {nos[cut]}: non-numeric value {raw_value[cut]!r}"
+        value = np.array(value, dtype=float)
+        outside = ~((value >= 0.0) & (value <= 100.0))  # also true for NaN
+        if outside.any():
+            cut = int(np.argmax(outside))
+            error = f"row {nos[cut]}: value {float(value[cut])} outside [0, 100]"
+        for label, known in dict.fromkeys(zip(ind_id[:cut], name)):  # first appearance order
+            first = names.setdefault(label, known)
+            if first != known:
+                cut = list(zip(ind_id, name)).index((label, known))
+                error = f"row {nos[cut]}: indicator {label} renamed {first!r} -> {known!r}"
+                break
+            ind_index.setdefault(label, len(ind_index))
+        period, unit, ind_id = period[:cut], unit[:cut], ind_id[:cut]
+        for index, column in ((periods, period), (units, unit)):
+            for label in dict.fromkeys(column):
+                index.setdefault(label, len(index))
+        codes.append((
+            np.fromiter(map(periods.__getitem__, period), np.intp, cut),
+            np.fromiter(map(units.__getitem__, unit), np.intp, cut),
+            np.fromiter(map(ind_index.__getitem__, ind_id), np.intp, cut),
+            value[:cut],
+            nos[:cut],
+        ))
+        if error is not None:
+            break
+
+    if error is None and not sum(len(rows[3]) for rows in codes):
+        raise PanelError("no data rows")
+    *arrays, row_nos = zip(*codes)
+    p_at, u_at, i_at, value = map(np.concatenate, arrays)
     shape = (len(periods), len(units), len(ind_index))
     size = shape[0] * shape[1] * shape[2]
     at = (p_at * shape[1] + u_at) * shape[2] + i_at
-    if value.size != size or not (np.bincount(at, minlength=size) == 1).all():
-        return None  # a duplicate or a missing cell
+    count = np.bincount(at, minlength=size)
+    if (count > 1).any():  # the first row whose cell an earlier row holds
+        seen = np.zeros(at.size, dtype=bool)
+        seen[np.unique(at, return_index=True)[1]] = True
+        k = int(np.argmin(seen))
+        cell = (list(periods)[p_at[k]], list(units)[u_at[k]], list(ind_index)[i_at[k]])
+        raise PanelError(f"row {list(chain.from_iterable(row_nos))[k]}: duplicate cell {cell}")
+    if error is not None:
+        raise PanelError(error)
+    if value.size != size:
+        p_i, u_i, i_i = np.unravel_index(np.argmin(count), shape)  # first gap, C order
+        raise PanelError(
+            f"missing cell (period={list(periods)[p_i]}, unit={list(units)[u_i]}, "
+            f"indicator={list(ind_index)[i_i]})"
+        )
     values = np.empty(size)
     values[at] = value
     return IndicatorPanel(
@@ -194,89 +227,50 @@ def _parse_plain(csv_text: str) -> IndicatorPanel | None:
     )
 
 
-def _parse_lines(csv_text: str) -> IndicatorPanel:
-    """parse_panel one line at a time, with an error message for each way a
-    file can be wrong."""
-    lines = enumerate(csv_text.splitlines(), start=1)
-    first = next(((n, line) for n, line in lines if not line.lstrip().startswith("#")), None)
-    if first is None:
-        raise PanelError("empty input")
-    header = _csv_row(*first)
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise PanelError(
-            f"malformed header {header!r}, expected {','.join(CSV_HEADER)}"
-        )
-
-    indicators: dict[int, str] = {}  # id -> name
-    # label -> position, in first-appearance order
-    periods: dict[str, int] = {}
-    units: dict[str, int] = {}
-    ind_index: dict[int, int] = {}
-    cells: dict[tuple[int, int, int], float] = {}  # (period, unit, indicator) positions
-    for lineno, line in lines:
-        if "#" in line and line.lstrip().startswith("#"):
-            continue
-        row = _csv_row(lineno, line) if '"' in line else line.split(",")
+def _split_lines(
+    chunk: list[str], linenos: Sequence[int]
+) -> tuple[list[str], list[int], str | None]:
+    """The fields of a chunk read one line at a time, blank rows dropped, up
+    to the first row that csv cannot read or that has not 5 fields; the line
+    numbers of the rows read; and that row's error, if any."""
+    fields: list[str] = []
+    kept: list[int] = []
+    for lineno, line in zip(linenos, chunk):
+        row = _csv_row(line) if '"' in line else line.split(",")
+        if isinstance(row, str):
+            return fields, kept, f"row {lineno}: {row}"
         if not "".join(row).strip():
             continue
         if len(row) != 5:
-            raise PanelError(f"row {lineno}: expected 5 fields, got {len(row)}")
-        period, unit, raw_id, name, raw_value = map(str.strip, row)
-        try:
-            ind_id = int(raw_id)
-        except ValueError:
-            raise PanelError(f"row {lineno}: non-integer indicator_id {raw_id!r}") from None
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise PanelError(f"row {lineno}: non-numeric value {raw_value!r}") from None
-        if not 0.0 <= value <= 100.0:  # also false for NaN
-            raise PanelError(f"row {lineno}: value {value} outside [0, 100]")
-        known = indicators.setdefault(ind_id, name)
-        if known != name:
-            raise PanelError(f"row {lineno}: indicator {ind_id} renamed {known!r} -> {name!r}")
-        cell = (
-            periods.setdefault(period, len(periods)),
-            units.setdefault(unit, len(units)),
-            ind_index.setdefault(ind_id, len(ind_index)),
-        )
-        if cell in cells:
-            raise PanelError(f"row {lineno}: duplicate cell {(period, unit, ind_id)}")
-        cells[cell] = value
+            return fields, kept, f"row {lineno}: expected 5 fields, got {len(row)}"
+        fields += row
+        kept.append(lineno)
+    return fields, kept, None
 
-    if not cells:
-        raise PanelError("no data rows")
-    shape = (len(periods), len(units), len(indicators))
-    at = tuple(np.array(list(cells), dtype=np.intp).T)
-    seen = np.zeros(shape, dtype=bool)
-    seen[at] = True
-    if not seen.all():
-        p_i, u_i, i_i = np.unravel_index(np.argmin(seen), shape)  # first gap, C order
-        raise PanelError(
-            f"missing cell (period={list(periods)[p_i]}, unit={list(units)[u_i]}, "
-            f"indicator={list(indicators)[i_i]})"
-        )
-    values = np.empty(shape)
-    values[at] = list(cells.values())
-    return IndicatorPanel(
-        periods=tuple(periods),
-        units=tuple(units),
-        indicators=tuple(Indicator(i, name) for i, name in indicators.items()),
-        values=values,
-    )
+
+def _read_prefix(kind: type, fields: list[str]) -> list:
+    """``kind`` of each field, up to the first field it does not read."""
+    out: list = []
+    try:
+        out.extend(map(kind, fields))
+    except ValueError:
+        pass  # out holds every field before that one, converted
+    return out
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:
     """Emit the panel in the same long-format CSV accepted by parse_panel.
 
-    parse_panel reads one row per ``str.splitlines`` line, so a label holding
-    a line boundary (``\\n``, ``\\r``, ``\\x0b``, ``\\x85``, ``\\u2028``, ...)
-    raises PanelError.
+    parse_panel reads one row per ``str.splitlines`` line and strips each
+    field, so a label holding a line boundary (``\\n``, ``\\r``, ``\\x0b``,
+    ``\\x85``, ``\\u2028``, ...) or starting or ending in whitespace raises
+    PanelError.
     """
     for label in (*panel.periods, *panel.units, *(ind.name for ind in panel.indicators)):
-        if "".join(label.splitlines()) != label:
+        if "".join(label.splitlines()).strip() != label:
             raise PanelError(
-                f"label {label!r} holds a line break, so parse_panel could not read it back"
+                f"label {label!r} holds a line break or surrounding whitespace, "
+                "so parse_panel could not read it back"
             )
     buf = io.StringIO()
     buf.write(",".join(CSV_HEADER) + "\n")
@@ -446,11 +440,12 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
     return "".join(out)
 
 
-def _csv_row(lineno: int, line: str) -> list[str]:
+def _csv_row(line: str) -> list[str] | str:
+    """The fields of ``line`` read as CSV, or csv's complaint about it."""
     try:
         return next(csv.reader([line]), [])
     except csv.Error as exc:  # a quoted field longer than csv.field_size_limit()
-        raise PanelError(f"row {lineno}: {exc}") from None
+        return str(exc)
 
 
 def _format_value(v: float) -> str:

@@ -191,7 +191,7 @@ def parse_synth_config(text: str) -> SynthConfig:
         label, sep, regime = tok.strip().partition(":")
         if not sep:
             raise SynthConfigError(f"bad period token {tok!r}, expected label:regime")
-        periods.append((label, regime))
+        periods.append((label.strip(), regime.strip()))
     _check_size(numbers["units"], numbers["indicators"], len(periods))
     means = _parse_means(raw["baseline_means"], numbers["indicators"])
     return SynthConfig(periods=tuple(periods), baseline_means=means, **numbers)

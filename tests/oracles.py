@@ -3,11 +3,17 @@
 These deliberately avoid the library's own code paths: correlations come
 from the stdlib ``statistics`` module, distances and volumes from plain
 Python loops, and the ball diameter from non-log arithmetic with the exact
-half-integer gamma product.
+half-integer gamma product. The panel oracle reads a file one line at a
+time, keeping each cell in a dict.
 """
 
+import csv
 import math
 import statistics
+
+import numpy as np
+
+from adaptometry.panel import CSV_HEADER, Indicator, IndicatorPanel, PanelError
 
 
 def oracle_total_weight(matrix, r0: float = 0.7) -> float:
@@ -78,3 +84,82 @@ def oracle_cv(values, estimator: str) -> float:
     if estimator == "sample":
         ss /= len(values) - 1
     return math.sqrt(ss) / mean
+
+
+def oracle_parse_panel(csv_text: str) -> IndicatorPanel:
+    """parse_panel one line at a time, with an error message for each way a
+    file can be wrong: a dict of cells and a check per row, in row order."""
+    lines = enumerate(csv_text.splitlines(), start=1)
+    first = next(((n, line) for n, line in lines if not line.lstrip().startswith("#")), None)
+    if first is None:
+        raise PanelError("empty input")
+    header = _oracle_csv_row(*first)
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise PanelError(
+            f"malformed header {header!r}, expected {','.join(CSV_HEADER)}"
+        )
+
+    indicators: dict[int, str] = {}  # id -> name
+    # label -> position, in first-appearance order
+    periods: dict[str, int] = {}
+    units: dict[str, int] = {}
+    ind_index: dict[int, int] = {}
+    cells: dict[tuple[int, int, int], float] = {}  # (period, unit, indicator) positions
+    for lineno, line in lines:
+        if "#" in line and line.lstrip().startswith("#"):
+            continue
+        row = _oracle_csv_row(lineno, line) if '"' in line else line.split(",")
+        if not "".join(row).strip():
+            continue
+        if len(row) != 5:
+            raise PanelError(f"row {lineno}: expected 5 fields, got {len(row)}")
+        period, unit, raw_id, name, raw_value = map(str.strip, row)
+        try:
+            ind_id = int(raw_id)
+        except ValueError:
+            raise PanelError(f"row {lineno}: non-integer indicator_id {raw_id!r}") from None
+        try:
+            value = float(raw_value)
+        except ValueError:
+            raise PanelError(f"row {lineno}: non-numeric value {raw_value!r}") from None
+        if not 0.0 <= value <= 100.0:  # also false for NaN
+            raise PanelError(f"row {lineno}: value {value} outside [0, 100]")
+        known = indicators.setdefault(ind_id, name)
+        if known != name:
+            raise PanelError(f"row {lineno}: indicator {ind_id} renamed {known!r} -> {name!r}")
+        cell = (
+            periods.setdefault(period, len(periods)),
+            units.setdefault(unit, len(units)),
+            ind_index.setdefault(ind_id, len(ind_index)),
+        )
+        if cell in cells:
+            raise PanelError(f"row {lineno}: duplicate cell {(period, unit, ind_id)}")
+        cells[cell] = value
+
+    if not cells:
+        raise PanelError("no data rows")
+    shape = (len(periods), len(units), len(indicators))
+    at = tuple(np.array(list(cells), dtype=np.intp).T)
+    seen = np.zeros(shape, dtype=bool)
+    seen[at] = True
+    if not seen.all():
+        p_i, u_i, i_i = np.unravel_index(np.argmin(seen), shape)  # first gap, C order
+        raise PanelError(
+            f"missing cell (period={list(periods)[p_i]}, unit={list(units)[u_i]}, "
+            f"indicator={list(indicators)[i_i]})"
+        )
+    values = np.empty(shape)
+    values[at] = list(cells.values())
+    return IndicatorPanel(
+        periods=tuple(periods),
+        units=tuple(units),
+        indicators=tuple(Indicator(i, name) for i, name in indicators.items()),
+        values=values,
+    )
+
+
+def _oracle_csv_row(lineno: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error as exc:  # a quoted field longer than csv.field_size_limit()
+        raise PanelError(f"row {lineno}: {exc}") from None

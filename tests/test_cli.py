@@ -258,6 +258,20 @@ class TestAnalyze:
         assert doc["metadata"]["cv_estimator"] == "unnormalized"
         assert len(doc["metadata"]["flagged_indicator_ids"]) == 2
 
+    def test_undefined_cv_is_a_warning(self, panel_csv, tmp_path, capsys):
+        grouped = tmp_path / "grouped.csv"
+        grouped.write_text(
+            "indicator_id,group,value\n1,A,0\n1,B,0\n2,A,10\n2,B,30\n3,A,20\n3,B,25\n"
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", str(panel_csv), "--grouped", str(grouped), "--out", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == "warning: indicator 1: mean 0.0 <= 0, CV undefined\n"
+        lines = (out / "variation.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+
     def test_plots_are_valid_svg(self, panel_csv, tmp_path):
         out = tmp_path / "out"
         code = main(["analyze", "--input", str(panel_csv), "--plots", "--out", str(out)])

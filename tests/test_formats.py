@@ -88,17 +88,15 @@ class TestWriters:
         # parse_panel reads one row per str.splitlines() line, so such a label
         # would be written and then fail to read back
         label = f"a{boundary}b"
-        panel = quoted_panel
-        if field == "period":
-            panel = dataclasses.replace(panel, periods=(label,))
-        elif field == "unit":
-            panel = dataclasses.replace(panel, units=("A", label, "D"))
-        else:
-            panel = dataclasses.replace(
-                panel, indicators=(panel.indicators[0], am.Indicator(2, label), panel.indicators[2])
-            )
         with pytest.raises(PanelError, match=re.escape(repr(label))):
-            am.serialize_panel(panel)
+            am.serialize_panel(_with_label(quoted_panel, field, label))
+
+    @pytest.mark.parametrize("field", ["period", "unit", "name"])
+    @pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\u3000"])
+    def test_serialize_refuses_padded_labels(self, quoted_panel, field, label):
+        # parse_panel strips every field, so " a" would read back as "a"
+        with pytest.raises(PanelError, match=re.escape(repr(label))):
+            am.serialize_panel(_with_label(quoted_panel, field, label))
 
     def test_quoted_and_plain_rows_parse_alike(self):
         plain = am.parse_panel(HEADER + "2020,A,1,a,10\n2020,B,1,a,20.5\n")
@@ -107,6 +105,17 @@ class TestWriters:
         assert quoted.units == plain.units
         assert quoted.indicators == plain.indicators
         assert np.array_equal(quoted.values, plain.values)
+
+
+def _with_label(panel: am.IndicatorPanel, field: str, label: str) -> am.IndicatorPanel:
+    """``panel`` with ``label`` as its period, second unit or second indicator's name."""
+    if field == "period":
+        return dataclasses.replace(panel, periods=(label,))
+    if field == "unit":
+        return dataclasses.replace(panel, units=("A", label, "D"))
+    return dataclasses.replace(
+        panel, indicators=(panel.indicators[0], am.Indicator(2, label), panel.indicators[2])
+    )
 
 
 def _old_matrix_to_csv(matrix: CorrelationMatrix) -> str:

@@ -12,23 +12,19 @@ import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaptometry import panel as panel_module
 from adaptometry.cli import main
-from adaptometry.panel import (
-    CSV_HEADER,
-    IndicatorPanel,
-    PanelError,
-    _parse_lines,
-    _parse_plain,
-    parse_panel,
-)
+from adaptometry.panel import CSV_HEADER, IndicatorPanel, PanelError, parse_panel
 from adaptometry.synthgen import SynthConfig, SynthConfigError, parse_synth_config
 from adaptometry.variation import GroupedIndicatorTable, VariationError, parse_grouped_table
+from oracles import oracle_parse_panel
 
 # Fields that reach each branch of the parsers: numbers in and out of range,
 # non-finite and non-numeric values, quotes, comments, separators, line
@@ -108,7 +104,9 @@ VALUES = st.one_of(
 def plain_grids(draw):
     """A panel file as serialize_panel writes one, with at most one defect:
     padded fields, a value that float reads in another form, a renamed
-    indicator, a duplicate or missing cell, or a value out of range."""
+    indicator, a duplicate or missing cell, or a value out of range; then
+    perhaps decorated with lines the reader skips (comments, blank lines,
+    ``,,,,`` rows) and one quoted field."""
     shape = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)))
     rows = [
         [f"p{p}", f"u{u}", str(i), f"x{i}", draw(VALUES.map(_value_text))]
@@ -133,24 +131,27 @@ def plain_grids(draw):
         del rows[k]
     elif defect == "range":
         rows[k][4] = draw(st.sampled_from(["-1", "100.5", "nan", "inf", "1e400", "-1e-300"]))
-    return ",".join(CSV_HEADER) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        if rows and draw(st.booleans()):
+            j = draw(st.integers(0, len(rows) - 1))
+            field = draw(st.integers(0, 4))
+            lines[j] = ",".join(f'"{f}"' if n == field else f for n, f in enumerate(rows[j]))
+        skipped = st.sampled_from(["# c", " #x,1,2,3,4", "", " ", ",,,,", " , ,\t,,", '""', ",,"])
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(skipped))
+    return ",".join(CSV_HEADER) + "\n" + "".join(line + "\n" for line in lines)
 
 
 def _value_text(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=texts(",".join(CSV_HEADER), 5) | plain_grids())
-@example(text=",".join(CSV_HEADER) + "\n 2020,A,1,a,-0\n 2020,B,1,a,1e1\n")
-@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,v,1,x,5\nb,u,1,x,5\nb,u,1,x,6\n")
-@example(text=",".join(CSV_HEADER) + "\na,1,1,x,5,2\n1,1,x,5\n")  # 6 fields, then 4
-@example(text=",".join(CSV_HEADER) + "\na,u,1,x,100.5\na,v,1,x,5\n")
-def test_parse_panel_is_the_line_parser(text):
-    """The column-at-a-time path gives what the line parser gives, or leaves
-    the text to it: the same panel, or the same error."""
+def _assert_parses_as_oracle(text):
+    """parse_panel gives what the line-by-line oracle gives: the same panel,
+    or the same error."""
     try:
-        want = _parse_lines(text)
+        want = oracle_parse_panel(text)
     except PanelError as exc:
         with pytest.raises(PanelError) as got:
             parse_panel(text)
@@ -160,6 +161,31 @@ def test_parse_panel_is_the_line_parser(text):
     assert (got.periods, got.units, got.indicators) == (want.periods, want.units, want.indicators)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+
+
+PARITY_TEXTS = texts(",".join(CSV_HEADER), 5) | plain_grids()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=PARITY_TEXTS)
+@example(text=",".join(CSV_HEADER) + "\n 2020,A,1,a,-0\n 2020,B,1,a,1e1\n")
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,v,1,x,5\nb,u,1,x,5\nb,u,1,x,6\n")
+@example(text=",".join(CSV_HEADER) + "\na,1,1,x,5,2\n1,1,x,5\n")  # 6 fields, then 4
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,100.5\na,v,1,x,5\n")
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\n,,,,\na,v,1,x,5\n")
+def test_parse_panel_is_the_line_parser(text):
+    _assert_parses_as_oracle(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=PARITY_TEXTS, chunk_lines=st.sampled_from([1, 2]))
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,v,1,y,5\na,u,1,x,5\n", chunk_lines=1)
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,u,1,x,5\na,v,1,y,5\n", chunk_lines=2)
+def test_parse_panel_in_small_chunks_is_the_line_parser(text, chunk_lines):
+    """Chunks of 1 and 2 lines put renamed and duplicate rows in another
+    chunk than the rows they repeat."""
+    with mock.patch.object(panel_module, "_CHUNK_LINES", chunk_lines):
+        _assert_parses_as_oracle(text)
 
 
 def _workloads():
@@ -181,11 +207,7 @@ def test_benchmark_inputs_take_the_column_path(name, tmp_path):
         if name == "synth":  # the panel the synth op writes
             assert main(workload.argv) == 0
             path = workload.out / "panel.csv"
-    text = path.read_text()
-    got, want = _parse_plain(text), _parse_lines(text)
-    assert got is not None
-    assert (got.periods, got.units, got.indicators) == (want.periods, want.units, want.indicators)
-    assert np.array_equal(got.values, want.values)
+    _assert_parses_as_oracle(path.read_text())
 
 
 @settings(max_examples=200, deadline=None)

@@ -104,6 +104,10 @@ seed = 1
         config = parse_synth_config(self.TEXT)
         assert config == make_config()
 
+    def test_spaces_around_a_period_colon(self):
+        text = self.TEXT.replace("2020-01:baseline", "2020-01 : baseline")
+        assert parse_synth_config(text) == make_config()
+
     def test_missing_key(self):
         with pytest.raises(SynthConfigError, match="missing"):
             parse_synth_config("units = 3\n")
