@@ -7,7 +7,7 @@ helpers below and the CLI are views over its result.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, build_network, correlation_matrix
 from .dispersion import DispersionSummary, dispersion_summary
@@ -24,15 +24,21 @@ def analyze(
     panel: IndicatorPanel,
     r0: float = DEFAULT_THRESHOLD,
     exclude: Iterable[int] = (),
-) -> list[PeriodResult]:
-    """Network and dispersion of every period, after excluding the given indicators."""
+) -> Iterator[PeriodResult]:
+    """Network and dispersion of each period in turn, after excluding the
+    given indicators.
+
+    The periods are computed one at a time as the result is iterated, so a
+    caller that keeps only what it needs of each period holds one distance
+    matrix at a time; iterate it once, or wrap it in ``list``. Unknown
+    ``exclude`` ids raise PanelError here, before the first period.
+    """
     reduced = exclude_indicators(panel, exclude)
-    results = []
-    for period in reduced.periods:
-        slice_ = slice_period(reduced, period)
-        network = build_network(correlation_matrix(slice_), r0)
-        results.append(PeriodResult(period, network, dispersion_summary(slice_)))
-    return results
+    slices = (slice_period(reduced, period) for period in reduced.periods)
+    return (
+        PeriodResult(s.period, build_network(correlation_matrix(s), r0), dispersion_summary(s))
+        for s in slices
+    )
 
 
 def weight_series(

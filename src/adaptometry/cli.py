@@ -21,12 +21,13 @@ import sys
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
+from typing import Iterable, Iterator
 
 from . import __version__
 from .analysis import PeriodResult, analyze
 from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, matrix_to_csv
 from .dispersion import distances_to_csv
-from .panel import PanelError, parse_panel, serialize_panel, validate
+from .panel import _FORMAT_BLOCK_ELEMENTS, PanelError, panel_csv_chunks, parse_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
     ESTIMATORS,
@@ -116,14 +117,19 @@ def _run_analyze(args) -> None:
         for ind_id, msg in profile.errors:
             _err(f"warning: indicator {ind_id}: {msg}")
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
-    results = analyze(panel, args.threshold, exclude)
-
-    for period, net, disp in results:
-        name = f"{period}.csv"
-        _write(os.path.join(args.out, "matrices", name), matrix_to_csv(net.matrix))
-        _write(os.path.join(args.out, "distances", name), distances_to_csv(disp))
+    # each period's CSVs are written as soon as it is done; only its record
+    # and its network outlive it, for the report and the plots
+    records: list[dict] = []
+    networks: list[CorrelationNetwork] = []
+    for result in analyze(panel, args.threshold, exclude):
+        name = f"{result.period}.csv"
+        _write(os.path.join(args.out, "matrices", name), (matrix_to_csv(result.network.matrix),))
+        _write(os.path.join(args.out, "distances", name), (distances_to_csv(result.dispersion),))
+        records.append(_period_record(result))
+        networks.append(result.network)
+        del result  # else its distance matrix lives on while the next period's is built
     if grouped_raw is not None:
-        _write(os.path.join(args.out, "variation.csv"), profile_to_csv(profile, flagged))
+        _write(os.path.join(args.out, "variation.csv"), (profile_to_csv(profile, flagged),))
 
     doc = {
         "metadata": {
@@ -136,34 +142,31 @@ def _run_analyze(args) -> None:
             "flag_policy": args.flag_policy if grouped_raw is not None else None,
             "flagged_indicator_ids": flagged,
         },
-        "periods": [_period_record(result) for result in results],
+        "periods": records,
     }
-    _write(os.path.join(args.out, "report.json"), _report_json(doc, results))
+    _write(os.path.join(args.out, "report.json"), _report_json(doc, networks))
 
     if args.plots:
         from .plots import line_chart
 
-        labels = [r.period for r in results]
+        labels = [r["period"] for r in records]
         _write(
             os.path.join(args.out, "weight.svg"),
-            line_chart(
+            (line_chart(
                 labels,
-                {"total weight": [r.network.total_weight for r in results]},
+                {"total weight": [r["weight"] for r in records]},
                 "Correlation network total weight by period",
                 "total weight",
-            ),
+            ),),
         )
         _write(
             os.path.join(args.out, "dispersion.svg"),
-            line_chart(
+            (line_chart(
                 labels,
-                {
-                    "d_max": [r.dispersion.d_max for r in results],
-                    "d_min": [r.dispersion.d_min for r in results],
-                },
+                {"d_max": [r["d_max"] for r in records], "d_min": [r["d_min"] for r in records]},
                 "Dispersion estimates by period",
                 "distance",
-            ),
+            ),),
         )
 
 
@@ -182,8 +185,9 @@ def _period_record(result: PeriodResult) -> dict:
     }
 
 
-def _report_json(doc: dict, results: list[PeriodResult]) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` with each period's edges in its record.
+def _report_json(doc: dict, networks: Iterable[CorrelationNetwork]) -> Iterator[str]:
+    """``json.dumps(doc, indent=2) + "\\n"`` in pieces, with the edges of each
+    period record, the network at its position in ``networks``.
 
     ``json`` encodes with ``indent`` in pure Python, which on a report of
     many edges takes most of the run, so the edge lists are formatted here,
@@ -192,47 +196,53 @@ def _report_json(doc: dict, results: list[PeriodResult]) -> str:
     # json escapes every '"' inside a string, so no label can hold this text:
     # each occurrence is the "edges" key of one period record
     head, *tails = json.dumps(doc, indent=2).split('"edges": []')
-    parts = [head]
-    for (_, net, _), tail in zip(results, tails, strict=True):
-        parts.append(_edges_json(net) + tail)
-    parts.append("\n")
-    return "".join(parts)
+    yield head
+    for net, tail in zip(networks, tails, strict=True):
+        yield from _edges_json(net)
+        yield tail
+    yield "\n"
 
 
-def _edges_json(net: CorrelationNetwork) -> str:
+def _edges_json(net: CorrelationNetwork) -> Iterator[str]:
     """The "edges" entry of a period record as json.dumps(doc, indent=2) writes
-    it: json renders an int with int.__repr__ and a finite float with
-    float.__repr__, and edge weights are finite because correlations are
-    clipped to [-1, 1]. Python floats, not numpy scalars, whose repr differs."""
+    it, in pieces of at most _FORMAT_BLOCK_ELEMENTS edges: json renders an int
+    with int.__repr__ and a finite float with float.__repr__, and edge weights
+    are finite because correlations are clipped to [-1, 1]. Python floats, not
+    numpy scalars, whose repr differs."""
     k = net.edge_weight.size
     if not k:
-        return '"edges": []'
+        yield '"edges": []'
+        return
     ids = net.matrix.indicator_ids
     i_texts = [f'\n        {{\n          "i": {i},\n          "j": ' for i in ids]
     j_texts = [f'{j},\n          "abs_r": ' for j in ids]
-    texts = ["\n        },"] * (4 * k)  # each fourth text closes an edge
-    texts[0::4] = map(i_texts.__getitem__, net.edge_a.tolist())
-    texts[1::4] = map(j_texts.__getitem__, net.edge_b.tolist())
-    texts[2::4] = map(float.__repr__, net.edge_weight.tolist())
-    texts[-1] = "\n        }\n      ]"
-    return '"edges": [' + "".join(texts)
+    yield '"edges": ['
+    for s in range(0, k, _FORMAT_BLOCK_ELEMENTS):
+        block = slice(s, s + _FORMAT_BLOCK_ELEMENTS)
+        weights = net.edge_weight[block].tolist()
+        texts = ["\n        },"] * (4 * len(weights))  # each fourth text closes an edge
+        texts[0::4] = map(i_texts.__getitem__, net.edge_a[block].tolist())
+        texts[1::4] = map(j_texts.__getitem__, net.edge_b[block].tolist())
+        texts[2::4] = map(float.__repr__, weights)
+        if s + len(weights) == k:
+            texts[-1] = "\n        }\n      ]"
+        yield "".join(texts)
 
 
 def _run_synth(args) -> None:
     config = parse_synth_config(_read_file(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    panel = generate_panel(config)
-    _write(os.path.join(args.out, "panel.csv"), serialize_panel(panel))
+    _write(os.path.join(args.out, "panel.csv"), panel_csv_chunks(generate_panel(config)))
 
     regimes = {regime for _, regime in config.periods}
     if len(regimes) == 2:
         contrast = stress_contrast(config)
         _write(
             os.path.join(args.out, "contrast.csv"),
-            "seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed\n"
-            f"{config.seed},{contrast.w_baseline:.6f},{contrast.w_stressed:.6f},"
-            f"{contrast.d_max_baseline:.6f},{contrast.d_max_stressed:.6f}\n",
+            ("seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed\n"
+             f"{config.seed},{contrast.w_baseline:.6f},{contrast.w_stressed:.6f},"
+             f"{contrast.d_max_baseline:.6f},{contrast.d_max_stressed:.6f}\n",),
         )
 
 
@@ -263,16 +273,17 @@ def _read_file(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _write(path: str, text: str) -> None:
-    """Write-then-rename, into a parent directory made if missing, so a partly
-    written file never appears; the file gets the mode ``open`` would give it."""
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the texts of ``chunks``, each as it comes, then rename, into a
+    parent directory made if missing, so a partly written file never appears,
+    whatever raises on the way; the file gets the mode ``open`` would give it."""
     directory = os.path.dirname(path) or "."
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             umask = os.umask(0)  # os.umask only reads the mask by replacing it
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)

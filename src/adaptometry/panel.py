@@ -11,15 +11,17 @@ import csv
 import io
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 
-# Entries in one row block of fixed_decimal_rows. On a 400 x 400 matrix,
-# blocks of 2**14 were as fast as 2**16 and held a quarter of the
-# temporaries: 0.9 MiB at peak beyond the result, against 3.3.
+# Entries in one block of each writer that formats in blocks: the rows of
+# fixed_decimal_rows, the units of panel_csv_chunks (cells) and the edges of
+# report.json. On a 400 x 400 matrix, blocks of 2**14 were as fast as 2**16
+# and held a quarter of the temporaries: 0.9 MiB at peak beyond the result,
+# against 3.3.
 _FORMAT_BLOCK_ELEMENTS = 2**14
 
 # fixed_decimal_rows rounds y = |x| * 100 in numpy only where y < 2**31. 100
@@ -259,12 +261,21 @@ def _read_prefix(kind: type, fields: list[str]) -> list:
 
 
 def serialize_panel(panel: IndicatorPanel) -> str:
-    """Emit the panel in the same long-format CSV accepted by parse_panel.
+    """Emit the panel in the same long-format CSV accepted by parse_panel:
+    the text of panel_csv_chunks, in one string."""
+    return "".join(panel_csv_chunks(panel))
+
+
+def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
+    """The long-format CSV of the panel in pieces: the header, then one text
+    per block of whole units of one period, at most _FORMAT_BLOCK_ELEMENTS
+    cells (or one unit) each. A value reads as ``repr`` writes it, or as an
+    integer where it is one.
 
     parse_panel reads one row per ``str.splitlines`` line and strips each
     field, so a label holding a line boundary (``\\n``, ``\\r``, ``\\x0b``,
     ``\\x85``, ``\\u2028``, ...) or starting or ending in whitespace raises
-    PanelError.
+    PanelError. It raises here, before the first piece is asked for.
     """
     for label in (*panel.periods, *panel.units, *(ind.name for ind in panel.indicators)):
         if "".join(label.splitlines()).strip() != label:
@@ -272,18 +283,31 @@ def serialize_panel(panel: IndicatorPanel) -> str:
                 f"label {label!r} holds a line break or surrounding whitespace, "
                 "so parse_panel could not read it back"
             )
-    buf = io.StringIO()
-    buf.write(",".join(CSV_HEADER) + "\n")
+    periods = [csv_field(period) for period in panel.periods]
     units = [csv_field(unit) for unit in panel.units]
     indicators = [f",{ind.id},{csv_field(ind.name)}," for ind in panel.indicators]
-    for period, block in zip(panel.periods, panel.values):
-        period = csv_field(period)
-        for unit, row in zip(units, block):
-            prefix = f"{period},{unit}"
-            buf.write("".join(
-                [f"{prefix}{ind}{_format_value(v)}\n" for ind, v in zip(indicators, row.tolist())]
-            ))
-    return buf.getvalue()
+    step = max(1, _FORMAT_BLOCK_ELEMENTS // max(len(indicators), 1))  # units per block
+    return chain([",".join(CSV_HEADER) + "\n"], (
+        _panel_block([f"{period},{unit}" for unit in units[s:s + step]], indicators,
+                     values[s:s + step])
+        for period, values in zip(periods, panel.values)
+        for s in range(0, len(units), step)
+    ))
+
+
+def _panel_block(prefixes: list[str], indicators: list[str], block: np.ndarray) -> str:
+    """The rows of a units x indicators block, one per cell, each line
+    ``prefix,id,name,value``: four texts per line, joined once."""
+    flat = block.ravel()
+    values = flat.tolist()
+    texts = ["\n"] * (4 * len(values))
+    texts[0::4] = [prefix for prefix in prefixes for _ in indicators]
+    texts[1::4] = indicators * len(prefixes)
+    texts[2::4] = map(float.__repr__, values)
+    # float.is_integer, vectorized: finite and integral
+    for k in np.flatnonzero(np.isfinite(flat) & (flat == np.trunc(flat))).tolist():
+        texts[4 * k + 2] = str(int(values[k]))
+    return "".join(texts)
 
 
 def validate(panel: IndicatorPanel) -> ValidationReport:
@@ -295,21 +319,7 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
     zero-variance (period, indicator) pairs, for which Pearson correlation
     downstream is undefined.
     """
-    report = ValidationReport()
-    folded: dict[str, str] = {}  # casefolded label -> first label with it
-    for period in panel.periods:
-        if period in ("", ".", "..") or "/" in period or "\\" in period or "\0" in period:
-            report.errors.append((
-                f"period {period!r}",
-                "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL",
-            ))
-        first = folded.setdefault(period.casefold(), period)
-        if first != period:
-            report.errors.append((
-                f"period {period!r}",
-                f"period labels {first!r} and {period!r} differ only in case, so their "
-                "output files collide on case-insensitive file systems",
-            ))
+    report = ValidationReport(errors=period_label_errors(panel.periods))
     for a, b in zip(panel.periods, panel.periods[1:]):
         if not a < b:
             report.errors.append(
@@ -338,6 +348,28 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
             loc = f"({panel.periods[p_i]}, {panel.indicators[i_i].id})"
             report.warnings.append((loc, "zero variance across units"))
     return report
+
+
+def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
+    """(location, message) for each period label that cannot name an output
+    file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, or equal to an
+    earlier label under ``str.casefold``."""
+    errors = []
+    folded: dict[str, str] = {}  # casefolded label -> first label with it
+    for period in periods:
+        if period in ("", ".", "..") or "/" in period or "\\" in period or "\0" in period:
+            errors.append((
+                f"period {period!r}",
+                "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL",
+            ))
+        first = folded.setdefault(period.casefold(), period)
+        if first != period:
+            errors.append((
+                f"period {period!r}",
+                f"period labels {first!r} and {period!r} differ only in case, so their "
+                "output files collide on case-insensitive file systems",
+            ))
+    return errors
 
 
 def exclude_indicators(panel: IndicatorPanel, ids: Iterable[int]) -> IndicatorPanel:
@@ -446,7 +478,3 @@ def _csv_row(line: str) -> list[str] | str:
         return next(csv.reader([line]), [])
     except csv.Error as exc:  # a quoted field longer than csv.field_size_limit()
         return str(exc)
-
-
-def _format_value(v: float) -> str:
-    return str(int(v)) if v.is_integer() else repr(v)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import analyze
-from .panel import Indicator, IndicatorPanel
+from .panel import Indicator, IndicatorPanel, period_label_errors
 
 REGIMES = ("baseline", "stressed")
 
@@ -61,6 +61,9 @@ class SynthConfig:
         labels = [p for p, _ in self.periods]
         if sorted(labels) != labels or len(set(labels)) != len(labels):
             raise SynthConfigError("period labels must be strictly increasing")
+        label_errors = period_label_errors(labels)
+        if label_errors:  # the first only: a config error is one line
+            raise SynthConfigError(": ".join(label_errors[0]))
         for _, regime in self.periods:
             if regime not in REGIMES:
                 raise SynthConfigError(f"unknown regime {regime!r}")

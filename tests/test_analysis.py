@@ -12,7 +12,7 @@ from oracles import oracle_ball_diameter, oracle_distance, oracle_total_weight, 
 @pytest.mark.parametrize("exclude", [(), (17, 19)], ids=["all", "without 17 and 19"])
 def test_every_period_matches_oracles(panel, exclude):
     reduced = am.exclude_indicators(panel, exclude)
-    results = am.analyze(panel, exclude=exclude)
+    results = list(am.analyze(panel, exclude=exclude))
     assert [r.period for r in results] == list(panel.periods)
     for rows, (period, network, dispersion) in zip(reduced.values.tolist(), results):
         assert network.total_weight == pytest.approx(oracle_total_weight(rows), rel=1e-12)
@@ -26,7 +26,7 @@ def test_every_period_matches_oracles(panel, exclude):
 
 
 def test_series_are_views_of_analyze(panel):
-    results = am.analyze(panel, 0.6, {17})
+    results = list(am.analyze(panel, 0.6, {17}))
     assert am.weight_series(panel, 0.6, {17}) == [
         (r.period, r.network.total_weight) for r in results
     ]

@@ -6,7 +6,9 @@ import pathlib
 import re
 import stat
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adaptometry as am
+from adaptometry import cli as cli_module
 from adaptometry.cli import _period_record, _report_json, main
 
 SYNTH_CONFIG = """\
@@ -390,6 +393,102 @@ class TestWriteErrors:
         )
         assert not list(out.rglob(".tmp-*"))
 
+    @pytest.mark.parametrize("error,code,message", [
+        (OSError(28, "No space left on device"), 2, "cannot write {}: No space left on device"),
+        (am.PanelError("bad block"), 1, "bad block"),
+    ], ids=["OSError", "PanelError"])
+    def test_chunks_failing_part_way_leave_the_old_file(
+        self, error, code, message, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "panel.csv").write_bytes(b"old panel\n")
+        chunks = cli_module.panel_csv_chunks
+
+        def failing_chunks(panel):
+            yield from list(chunks(panel))[:2]  # the header and the first period
+            raise error
+
+        monkeypatch.setattr(cli_module, "panel_csv_chunks", failing_chunks)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message.format(out / 'panel.csv')}\n"
+        assert (out / "panel.csv").read_bytes() == b"old panel\n"
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_unwritable_panel_label_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        # the label check runs when the pieces are asked for, before _write makes --out
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        generate = cli_module.generate_panel
+        monkeypatch.setattr(cli_module, "generate_panel", lambda c: dataclasses.replace(
+            generate(c), periods=("2020-01", "2020-06 "),
+        ))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: label '2020-06 ' holds a line break or surrounding whitespace, "
+            "so parse_panel could not read it back\n"
+        )
+        assert not out.exists()
+
+
+class TestMemory:
+    """Outputs go to their files in pieces and periods are computed one at a
+    time. numpy reports its buffers to tracemalloc."""
+
+    def test_synth_never_holds_the_panel_text(self, tmp_path):
+        # 300 x 150 x 4 cells: panel.csv is 8.6 MB, and its text alone held at
+        # once took the peak to 17.9 MiB
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG.replace("units = 40", "units = 300").replace(
+            "indicators = 5", "indicators = 150").replace(
+            "periods = 2020-01:baseline, 2020-06:stressed",
+            "periods = 2020-01:baseline, 2020-02:stressed, 2020-03:baseline, 2020-04:stressed"))
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "o" / "panel.csv").stat().st_size > 8 * 10**6
+        assert peak < 17.9 * 2**20 / 2
+
+    def test_analyze_holds_one_distance_matrix(self, tmp_path, monkeypatch):
+        # the peak from analyze's first period on: 4 periods of 400 x 20 against
+        # the first period alone, within less than one more 400 x 400 matrix
+        m = 400
+        config = am.SynthConfig(
+            units=m, indicators=20,
+            periods=tuple((f"2020-0{k}", ("baseline", "stressed")[k % 2]) for k in range(1, 5)),
+            baseline_means=(50.0,) * 20, noise_sd=4.0, loading_baseline=0.0,
+            loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+        )
+        panel = am.generate_panel(config)
+        first = am.IndicatorPanel(panel.periods[:1], panel.units, panel.indicators,
+                                  panel.values[:1])
+        analyze = cli_module.analyze
+        growth = {}
+        for name, p in (("four", panel), ("first", first)):
+            (tmp_path / f"{name}.csv").write_text(am.serialize_panel(p))
+            start = []
+
+            def traced(*args, start=start):
+                tracemalloc.reset_peak()
+                start.append(tracemalloc.get_traced_memory()[0])
+                return analyze(*args)
+
+            monkeypatch.setattr(cli_module, "analyze", traced)
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "--input", str(tmp_path / f"{name}.csv"),
+                             "--out", str(tmp_path / name)]) == 0
+                growth[name] = tracemalloc.get_traced_memory()[1] - start[0]
+            finally:
+                tracemalloc.stop()
+        assert growth["four"] < growth["first"] + m * m * 8
+
 
 def _old_report_json(doc: dict, results) -> str:
     """The report.json writer before edges were formatted by hand: the reference."""
@@ -401,6 +500,18 @@ def _old_report_json(doc: dict, results) -> str:
 
 def _doc(results, **metadata) -> dict:
     return {"metadata": metadata, "periods": [_period_record(r) for r in results]}
+
+
+def _report(doc: dict, results) -> str:
+    """The text _report_json writes in pieces for these results, which must
+    not depend on the edges per piece: the default, and 1, 2 and 3, which
+    split a period's edges so that its last piece is partial or full."""
+    texts = set()
+    for block in (cli_module._FORMAT_BLOCK_ELEMENTS, 1, 2, 3):
+        with mock.patch.object(cli_module, "_FORMAT_BLOCK_ELEMENTS", block):
+            texts.add("".join(_report_json(doc, [r.network for r in results])))
+    assert len(texts) == 1
+    return texts.pop()
 
 
 def _panel(periods, values) -> am.IndicatorPanel:
@@ -433,7 +544,7 @@ class TestReportJson:
         text = (out / "report.json").read_text()
         metadata = json.loads(text)["metadata"]
         exclude = metadata["excluded_indicator_ids"]
-        results = am.analyze(panel, metadata["threshold"], exclude)
+        results = list(am.analyze(panel, metadata["threshold"], exclude))
         assert text == _old_report_json(_doc(results, **metadata), results)
         assert ('"edges": []' in text) == (args == ["--threshold", "0.99"] or len(exclude) == 18)
 
@@ -441,20 +552,20 @@ class TestReportJson:
         # every indicator is an affine function of one unit factor
         factor = np.array([10.0, 30.0, 20.0, 60.0, 45.0])
         values = [np.stack([factor, 100 - factor, factor / 2 + 7, 90 - factor], axis=1)] * 2
-        results = am.analyze(_panel(("a", "b"), values), 0.7)
+        results = list(am.analyze(_panel(("a", "b"), values), 0.7))
         assert [len(r.network.edges) for r in results] == [6, 6]
         doc = _doc(results, threshold=0.7)
-        assert _report_json(doc, results) == _old_report_json(doc, results)
+        assert _report(doc, results) == _old_report_json(doc, results)
 
     def test_report_builds_no_edge_tuples(self, panel):
-        results = am.analyze(panel, 0.7)
-        _report_json(_doc(results, threshold=0.7), results)
+        results = list(am.analyze(panel, 0.7))
+        _report(_doc(results, threshold=0.7), results)
         assert all("edges" not in r.network.__dict__ for r in results)
         assert sum(len(r.network.edges) for r in results) > 0
 
     def test_zero_periods(self):
         doc = _doc([], threshold=0.7)
-        assert _report_json(doc, []) == _old_report_json(doc, []) == json.dumps(
+        assert _report(doc, []) == _old_report_json(doc, []) == json.dumps(
             {"metadata": {"threshold": 0.7}, "periods": []}, indent=2
         ) + "\n"
 
@@ -470,7 +581,7 @@ class TestReportJson:
         )
         result = result._replace(network=network)
         doc = _doc([result])
-        text = _report_json(doc, [result])
+        text = _report(doc, [result])
         assert text == _old_report_json(doc, [result])
         assert [e["abs_r"] for e in json.loads(text)["periods"][0]["edges"]] == list(weights)
 
@@ -482,9 +593,9 @@ class TestReportJson:
         # validate rejects some of these labels, so call the writer directly
         rng = np.random.default_rng(3)
         values = rng.choice([0.0, 20.0, 50.0], size=(2, 5, 4))
-        results = am.analyze(_panel((label, label + "2"), values), 0.3)
+        results = list(am.analyze(_panel((label, label + "2"), values), 0.3))
         doc = _doc(results, flag_policy='"edges": []', note=label)
-        text = _report_json(doc, results)
+        text = _report(doc, results)
         assert text == _old_report_json(doc, results)
         assert [p["period"] for p in json.loads(text)["periods"]] == [label, label + "2"]
 
@@ -503,9 +614,9 @@ class TestReportJson:
         ))
         labels = data.draw(st.lists(st.text(max_size=6), min_size=shape[0],
                                     max_size=shape[0], unique=True))
-        results = am.analyze(_panel(labels, np.reshape(values, shape)), r0)
+        results = list(am.analyze(_panel(labels, np.reshape(values, shape)), r0))
         doc = _doc(results, threshold=r0)
-        assert _report_json(doc, results) == _old_report_json(doc, results)
+        assert _report(doc, results) == _old_report_json(doc, results)
 
 
 class TestSynth:

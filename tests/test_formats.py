@@ -6,6 +6,7 @@ row number, so that faster implementations can be checked against them.
 """
 
 import dataclasses
+import io
 import re
 from unittest import mock
 
@@ -105,6 +106,92 @@ class TestWriters:
         assert quoted.units == plain.units
         assert quoted.indicators == plain.indicators
         assert np.array_equal(quoted.values, plain.values)
+
+
+    @pytest.mark.parametrize("field", ["period", "unit", "name"])
+    def test_chunks_refuse_a_bad_label_before_the_first_piece(self, quoted_panel, field):
+        # so that synth raises before it creates --out
+        with pytest.raises(PanelError, match=re.escape(repr("a\nb"))):
+            panel_module.panel_csv_chunks(_with_label(quoted_panel, field, "a\nb"))
+
+
+def _old_serialize_panel(panel: am.IndicatorPanel) -> str:
+    """serialize_panel before it wrote the panel in blocks: the reference."""
+    buf = io.StringIO()
+    buf.write(",".join(panel_module.CSV_HEADER) + "\n")
+    units = [csv_field(unit) for unit in panel.units]
+    indicators = [f",{ind.id},{csv_field(ind.name)}," for ind in panel.indicators]
+    for period, block in zip(panel.periods, panel.values):
+        period = csv_field(period)
+        for unit, row in zip(units, block):
+            prefix = f"{period},{unit}"
+            buf.write("".join([
+                f"{prefix}{ind}{str(int(v)) if v.is_integer() else repr(v)}\n"
+                for ind, v in zip(indicators, row.tolist())
+            ]))
+    return buf.getvalue()
+
+
+# Signed zeros, subnormals, integers exact and beyond 2**53, huge values,
+# NaN and infinities, and fractions
+PANEL_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, np.nan, np.inf, -np.inf,
+    1.0, 7.0, 100.0, -3.0, 2.0**53, 2.0**53 + 2, 1e22, 0.5, 2.675, 1e-300, 49.9, 1e15 + 0.5,
+]
+
+
+def _special_panel(n_units: int) -> am.IndicatorPanel:
+    """2 periods x n_units x 4 indicators holding every PANEL_VALUES entry,
+    with commas and quotes in labels of each kind."""
+    shape = (2, n_units, 4)
+    return am.IndicatorPanel(
+        periods=("2020-01", 'p, "2"'),
+        units=tuple(f'u{k}, "x"' if k % 2 else f"u{k}" for k in range(n_units)),
+        indicators=tuple(am.Indicator(k + 1, f'i, "{k}"') for k in range(4)),
+        values=np.resize(np.array(PANEL_VALUES), shape[0] * shape[1] * shape[2]).reshape(shape),
+    )
+
+
+class TestPanelWriterMatchesOldWriter:
+    """panel_csv_chunks gives the bytes of the old one-string serializer."""
+
+    @pytest.mark.parametrize("n_units", [5, 6])
+    @pytest.mark.parametrize("units_per_block", [None, 1, 2, 3],
+                             ids=["one block", "1 unit", "2 units", "3 units"])
+    def test_special_values(self, n_units, units_per_block, monkeypatch):
+        # 5 units leave a partial last block of 2 and 3 units, 6 a full one
+        panel = _special_panel(n_units)
+        if units_per_block:
+            monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", units_per_block * 4)
+        pieces = list(panel_module.panel_csv_chunks(panel))
+        assert len(pieces) == 1 + 2 * -(-n_units // (units_per_block or n_units))
+        assert "".join(pieces) == am.serialize_panel(panel) == _old_serialize_panel(panel)
+
+    def test_block_smaller_than_a_unit(self, monkeypatch):
+        monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 3)  # < 4 indicators
+        panel = _special_panel(5)
+        assert len(list(panel_module.panel_csv_chunks(panel))) == 1 + 2 * 5
+        assert am.serialize_panel(panel) == _old_serialize_panel(panel)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)),
+        block=st.integers(1, 20),
+        data=st.data(),
+    )
+    def test_random_panels(self, shape, block, data):
+        size = shape[0] * shape[1] * shape[2]
+        entry = st.one_of(st.floats(), st.integers(-10**6, 10**6).map(float),
+                          st.sampled_from(PANEL_VALUES))
+        values = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=float)
+        panel = am.IndicatorPanel(
+            periods=tuple(f"p{k}" for k in range(shape[0])),
+            units=tuple(f"u{k}" for k in range(shape[1])),
+            indicators=tuple(am.Indicator(k, f"x{k}") for k in range(shape[2])),
+            values=values.reshape(shape),
+        )
+        with mock.patch.object(panel_module, "_FORMAT_BLOCK_ELEMENTS", block):
+            assert am.serialize_panel(panel) == _old_serialize_panel(panel)
 
 
 def _with_label(panel: am.IndicatorPanel, field: str, label: str) -> am.IndicatorPanel:

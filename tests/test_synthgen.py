@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import adaptometry as am
+from adaptometry.cli import main
 from adaptometry.synthgen import (
     MAX_PANEL_CELLS,
     SynthConfig,
@@ -140,6 +141,58 @@ seed = 1
     def test_explicit_means_list(self):
         text = self.TEXT.replace("baseline_means = 50", "baseline_means = 10,20,30,40,50,60")
         assert parse_synth_config(text).baseline_means == (10, 20, 30, 40, 50, 60)
+
+
+_FILE_NAME_RULE = (
+    "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL"
+)
+
+# Period labels analyze refuses, in strictly increasing order, and the one
+# error line synth gives for them
+BAD_LABELS = {
+    "empty": (("", "z"), f"period '': {_FILE_NAME_RULE}"),
+    "dot": ((".", "z"), f"period '.': {_FILE_NAME_RULE}"),
+    "dot dot": (("..", "z"), f"period '..': {_FILE_NAME_RULE}"),
+    "slash": (("a/b", "z"), f"period 'a/b': {_FILE_NAME_RULE}"),
+    "backslash": (("a\\b", "z"), f"period 'a\\\\b': {_FILE_NAME_RULE}"),
+    "NUL": (("a\0b", "z"), f"period 'a\\x00b': {_FILE_NAME_RULE}"),
+    "two bad": (("", "a/b"), f"period '': {_FILE_NAME_RULE}"),
+    "case": (("A", "a"), "period 'a': period labels 'A' and 'a' differ only in case, so their "
+                         "output files collide on case-insensitive file systems"),
+}
+
+
+@pytest.mark.parametrize("labels,message", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+class TestPeriodLabels:
+    """synth refuses the period labels analyze refuses, before it writes anything."""
+
+    def test_config(self, labels, message):
+        with pytest.raises(SynthConfigError) as info:
+            make_config(periods=((labels[0], "baseline"), (labels[1], "stressed")))
+        assert str(info.value) == message
+
+    def test_parsed_config(self, labels, message):
+        text = TestParseConfig.TEXT.replace(
+            "2020-01:baseline, 2020-06:stressed", f"{labels[0]}:baseline, {labels[1]}:stressed"
+        )
+        with pytest.raises(SynthConfigError) as info:
+            parse_synth_config(text)
+        assert str(info.value) == message
+
+    def test_cli(self, labels, message, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_text(TestParseConfig.TEXT.replace(
+            "2020-01:baseline, 2020-06:stressed", f"{labels[0]}:baseline, {labels[1]}:stressed"
+        ))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_analyze_refuses_them_too(self, labels, message):
+        panel = am.IndicatorPanel(labels, ("u1", "u2"), (am.Indicator(1, "x"),),
+                                  np.array([[[1.0], [2.0]], [[3.0], [5.0]]]))
+        assert message in [": ".join(error) for error in am.validate(panel).errors]
 
 
 class TestGenerate:
