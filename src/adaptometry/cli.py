@@ -25,8 +25,8 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .analysis import PeriodResult, analyze
-from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, matrix_to_csv
-from .dispersion import distances_to_csv
+from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, matrix_csv_chunks
+from .dispersion import distances_csv_chunks
 from .panel import _FORMAT_BLOCK_ELEMENTS, PanelError, panel_csv_chunks, parse_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
@@ -97,9 +97,11 @@ def _run_analyze(args) -> None:
         raise UsageError(f"--threshold {args.threshold} outside (0, 1)")
     exclude = _parse_id_list(args.exclude)
     raw = _read_file(args.input)
+    input_digest = "sha256:" + hashlib.sha256(raw.encode()).hexdigest()
     grouped_raw = _read_file(args.grouped) if args.grouped else None
 
     panel = parse_panel(raw)
+    del raw  # the per-period phase holds no copy of the input
     report = validate(panel)
     for loc, msg in report.warnings:
         _err(f"warning: {loc}: {msg}")
@@ -123,8 +125,8 @@ def _run_analyze(args) -> None:
     networks: list[CorrelationNetwork] = []
     for result in analyze(panel, args.threshold, exclude):
         name = f"{result.period}.csv"
-        _write(os.path.join(args.out, "matrices", name), (matrix_to_csv(result.network.matrix),))
-        _write(os.path.join(args.out, "distances", name), (distances_to_csv(result.dispersion),))
+        _write(os.path.join(args.out, "matrices", name), matrix_csv_chunks(result.network.matrix))
+        _write(os.path.join(args.out, "distances", name), distances_csv_chunks(result.dispersion))
         records.append(_period_record(result))
         networks.append(result.network)
         del result  # else its distance matrix lives on while the next period's is built
@@ -135,7 +137,7 @@ def _run_analyze(args) -> None:
         "metadata": {
             "tool_version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(),
-            "input_digest": "sha256:" + hashlib.sha256(raw.encode()).hexdigest(),
+            "input_digest": input_digest,
             "threshold": args.threshold,
             "excluded_indicator_ids": sorted(exclude),
             "cv_estimator": args.cv_estimator if grouped_raw is not None else None,
@@ -257,7 +259,7 @@ def _parse_id_list(spec: str) -> set[int]:
 
 
 def _read_file(path: str) -> str:
-    """Text with universal newlines."""
+    """Text with universal newlines, with at most two copies of it held at once."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -270,7 +272,11 @@ def _read_file(path: str) -> str:
             f"cannot read {path}: not UTF-8 text "
             f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    del data
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:

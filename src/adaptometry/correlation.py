@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,10 +178,15 @@ def degree_counts(
 
 
 def matrix_to_csv(matrix: CorrelationMatrix) -> str:
-    """Render the matrix as CSV with an id header row/column; NaN is empty.
+    """Render the matrix as CSV with an id header row/column; NaN is empty:
+    the text of matrix_csv_chunks, in one string."""
+    return "".join(matrix_csv_chunks(matrix))
 
-    Entries read as ``"%.2f"`` writes them (see fixed_decimal_rows).
+
+def matrix_csv_chunks(matrix: CorrelationMatrix) -> Iterator[str]:
+    """The CSV of matrix_to_csv in pieces: the header row, then the rows in
+    blocks. Entries read as ``"%.2f"`` writes them (see fixed_decimal_rows).
     """
     ids = [str(i) for i in matrix.indicator_ids]
-    header = ",".join(["indicator_id", *ids]) + "\n"
-    return header + fixed_decimal_rows(ids, matrix.values)
+    yield ",".join(["indicator_id", *ids]) + "\n"
+    yield from fixed_decimal_rows(ids, matrix.values)

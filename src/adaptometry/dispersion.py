@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -130,11 +131,17 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
 
 
 def distances_to_csv(summary: DispersionSummary) -> str:
-    """Render the symmetric distance matrix as CSV with unit labels.
+    """Render the symmetric distance matrix as CSV with unit labels: the
+    text of distances_csv_chunks, in one string."""
+    return "".join(distances_csv_chunks(summary))
 
-    Entries read as ``"%.2f"`` writes them (see fixed_decimal_rows); NaN,
-    which no distance between valid units is, as an empty field.
+
+def distances_csv_chunks(summary: DispersionSummary) -> Iterator[str]:
+    """The CSV of distances_to_csv in pieces: the header row, then the rows
+    in blocks. Entries read as ``"%.2f"`` writes them (see
+    fixed_decimal_rows); NaN, which no distance between valid units is, as
+    an empty field.
     """
     labels = [csv_field(unit) for unit in summary.units]
-    header = ",".join(["unit", *labels]) + "\n"
-    return header + fixed_decimal_rows(labels, summary.distance_matrix)
+    yield ",".join(["unit", *labels]) + "\n"
+    yield from fixed_decimal_rows(labels, summary.distance_matrix)

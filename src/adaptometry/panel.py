@@ -34,10 +34,13 @@ _FORMAT_BLOCK_ELEMENTS = 2**14
 _FAST_LIMIT = 2.0**31
 _TIE_MARGIN = 1e-6
 
-# Data lines per chunk of parse_panel: each chunk's text and field lists are
-# the temporaries beyond the result. Parse time was flat from 2**9 to 2**13
-# lines; peak RSS of a whole 400x20x4 analyze was 53.3 MiB at 2**10, 58.0 at 2**13.
-_CHUNK_LINES = 2**10
+# Characters per chunk of parse_panel (see _line_chunks): each chunk's text,
+# lines and field lists are the temporaries beyond the coded arrays. Parse
+# time of 400x20x4, 60x300x4 and 300x150x4 synthgen panels was flat from 2**14
+# to 2**16 and up to 20% slower at 2**12. The parse peak of 400x20x4 beyond
+# its text was 1.15 times the text's length at 2**14, 1.18 at 2**15, 1.58 at
+# 2**16 and 2.42 at 2**17.
+_CHUNK_CHARS = 2**15
 
 
 class PanelError(ValueError):
@@ -127,17 +130,15 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     and a row never spans lines; lines holding ``"`` are read with standard
     CSV quoting, and surrounding whitespace in a field is dropped.
 
-    The rows are read a column at a time, _CHUNK_LINES lines at once. An
-    error names the first bad row and, on it, the first check that fails, in
-    this order: CSV quoting, field count, indicator id, value, range,
-    indicator name, duplicate cell. Each check reads only the rows before
-    the earliest failure found so far.
+    The text is read one slice of whole lines at a time (see _line_chunks),
+    a column at a time, so beyond the text only one slice's lines and the
+    coded arrays are held. An error names the first bad row and, on it, the
+    first check that fails, in this order: CSV quoting, field count,
+    indicator id, value, range, indicator name, duplicate cell. Each check
+    reads only the rows before the earliest failure found so far.
     """
-    lines = csv_text.splitlines()
-    linenos: Sequence[int] = range(1, len(lines) + 1)
-    if "#" in csv_text:
-        kept = [not line.lstrip().startswith("#") for line in lines]
-        lines, linenos = list(compress(lines, kept)), list(compress(linenos, kept))
+    chunks = _line_chunks(csv_text)
+    lines, linenos, quoted = next(chunks, ([], (), False))  # every chunk holds a line
     if not lines:
         raise PanelError("empty input")
     header = _csv_row(lines[0])
@@ -146,15 +147,13 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise PanelError(f"malformed header {header!r}, expected {','.join(CSV_HEADER)}")
 
-    quoted = '"' in csv_text
     periods: dict[str, int] = {}  # label -> position, in first-appearance order
     units: dict[str, int] = {}
     ind_index: dict[int, int] = {}  # id -> position
     names: dict[int, str] = {}  # id -> name
-    codes: list[tuple] = []  # per chunk: positions, values and line numbers
+    codes: tuple[list, ...] = ([], [], [], [], [])  # positions, values, line numbers; per chunk
     error = None  # the message for the row at the cut
-    for start in range(1, len(lines), _CHUNK_LINES):
-        chunk, nos = lines[start:start + _CHUNK_LINES], linenos[start:start + _CHUNK_LINES]
+    for chunk, nos, quoted in chain([(lines[1:], linenos[1:], quoted)], chunks):
         fields = None
         if not quoted and set(map(str.count, chunk, repeat(","))) == {4}:
             fields = ",".join(chunk).split(",")
@@ -187,23 +186,29 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
         for index, column in ((periods, period), (units, unit)):
             for label in dict.fromkeys(column):
                 index.setdefault(label, len(index))
-        codes.append((
+        for pieces, piece in zip(codes, (
             np.fromiter(map(periods.__getitem__, period), np.intp, cut),
             np.fromiter(map(units.__getitem__, unit), np.intp, cut),
             np.fromiter(map(ind_index.__getitem__, ind_id), np.intp, cut),
             value[:cut],
             nos[:cut],
-        ))
+        )):
+            pieces.append(piece)
         if error is not None:
             break
 
-    if error is None and not sum(len(rows[3]) for rows in codes):
+    *arrays, row_nos = codes
+    if error is None and not sum(map(len, arrays[3])):
         raise PanelError("no data rows")
-    *arrays, row_nos = zip(*codes)
-    p_at, u_at, i_at, value = map(np.concatenate, arrays)
+    p_at, u_at, i_at, value = map(_joined, arrays)
     shape = (len(periods), len(units), len(ind_index))
     size = shape[0] * shape[1] * shape[2]
-    at = (p_at * shape[1] + u_at) * shape[2] + i_at
+    # the arrays of one entry per row are the largest held: each is built in
+    # place, and deleted once read for the last time
+    at = p_at * shape[1]  # the position of each row's cell
+    at += u_at
+    at *= shape[2]
+    at += i_at
     count = np.bincount(at, minlength=size)
     if (count > 1).any():  # the first row whose cell an earlier row holds
         seen = np.zeros(at.size, dtype=bool)
@@ -211,6 +216,7 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
         k = int(np.argmin(seen))
         cell = (list(periods)[p_at[k]], list(units)[u_at[k]], list(ind_index)[i_at[k]])
         raise PanelError(f"row {list(chain.from_iterable(row_nos))[k]}: duplicate cell {cell}")
+    del p_at, u_at, i_at
     if error is not None:
         raise PanelError(error)
     if value.size != size:
@@ -219,14 +225,48 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
             f"missing cell (period={list(periods)[p_i]}, unit={list(units)[u_i]}, "
             f"indicator={list(ind_index)[i_i]})"
         )
+    del count
     values = np.empty(size)
     values[at] = value
+    del at, value
     return IndicatorPanel(
         periods=tuple(periods),
         units=tuple(units),
         indicators=tuple(Indicator(i, name) for i, name in names.items()),
         values=values.reshape(shape),
     )
+
+
+def _line_chunks(text: str) -> Iterator[tuple[list[str], Sequence[int], bool]]:
+    """The lines of ``text`` as ``str.splitlines`` cuts them, in chunks, each
+    with the 1-based line numbers of its lines and whether it holds a ``"``.
+
+    A chunk is the text from the end of the last one to just after the first
+    ``\\n`` at least _CHUNK_CHARS characters on, or to the end. A cut right
+    after a ``\\n`` never splits a ``\\r\\n``, so the lines and their numbers
+    are those of the whole text. Lines starting with ``#`` are dropped, and a
+    chunk left with no lines is skipped.
+    """
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        piece = text[start:end]
+        lines = piece.splitlines()
+        linenos: Sequence[int] = range(lineno, lineno + len(lines))
+        start, lineno = end, lineno + len(lines)
+        if "#" in piece:
+            kept = [not line.lstrip().startswith("#") for line in lines]
+            lines, linenos = list(compress(lines, kept)), list(compress(linenos, kept))
+        if lines:
+            yield lines, linenos, '"' in piece
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The pieces as one array; the list is emptied, so they can be freed
+    before the next column is joined."""
+    out = np.concatenate(pieces)
+    pieces.clear()
+    return out
 
 
 def _split_lines(
@@ -410,17 +450,17 @@ def csv_field(label: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def fixed_decimal_rows(labels: Sequence[str], values: np.ndarray) -> str:
+def fixed_decimal_rows(labels: Sequence[str], values: np.ndarray) -> Iterator[str]:
     """CSV rows ``label,v,...,v``, one per row of ``values``, each ending in a newline.
 
     Each entry reads exactly as ``"%.2f" % v`` writes it, and NaN as an
-    empty field. Rows go in blocks of at most _FORMAT_BLOCK_ELEMENTS
-    entries (or one row), so the temporaries stay bounded whatever the
-    matrix size.
+    empty field. The rows come in blocks of at most _FORMAT_BLOCK_ELEMENTS
+    entries (or one row), one text per block, so the temporaries stay
+    bounded whatever the matrix size.
     """
     values = np.asarray(values, dtype=float)
     step = max(1, _FORMAT_BLOCK_ELEMENTS // max(values.shape[1], 1))
-    return "".join(
+    return (
         _fixed_decimal_block(labels[s:s + step], values[s:s + step])
         for s in range(0, len(values), step)
     )

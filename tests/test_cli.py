@@ -202,6 +202,15 @@ class TestAnalyze:
         reports = [_mask_timestamp((tmp_path / d / "report.json").read_text()) for d in "ab"]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_input_digest_is_of_the_text_with_lf_newlines(self, panel_text, tmp_path, newline):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(panel_text.replace("\n", newline).encode())
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+        got = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]
+        golden = json.loads((DATA / "expected_report.json").read_text())["metadata"]
+        assert got["input_digest"] == golden["input_digest"]
+
     def test_unknown_exclude_id_exits_2(self, panel_csv, tmp_path, capsys):
         code = main(
             ["analyze", "--input", str(panel_csv), "--exclude", "99",

@@ -17,8 +17,18 @@ from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry import panel as panel_module
-from adaptometry.correlation import CorrelationMatrix, correlation_matrix, matrix_to_csv
-from adaptometry.dispersion import DispersionSummary, dispersion_summary, distances_to_csv
+from adaptometry.correlation import (
+    CorrelationMatrix,
+    correlation_matrix,
+    matrix_csv_chunks,
+    matrix_to_csv,
+)
+from adaptometry.dispersion import (
+    DispersionSummary,
+    dispersion_summary,
+    distances_csv_chunks,
+    distances_to_csv,
+)
 from adaptometry.panel import PanelError, csv_field
 
 HEADER = "period,unit,indicator_id,indicator_name,value\n"
@@ -290,6 +300,18 @@ class TestWritersMatchOldWriters:
         monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 1)
         assert matrix_to_csv(_matrix([[0.375]])) == "indicator_id,1\n1,0.38\n"
         assert distances_to_csv(_summary([[-0.0]])) == 'unit,"""u,0"""\n"""u,0""",-0.00\n'
+
+    def test_pieces_are_the_header_then_each_block(self, monkeypatch):
+        # 5 rows in blocks of 2 rows: the largest piece is one block, not the file
+        monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 2 * 5)
+        matrix = _rolled(TIES[:5])
+        for pieces, old in (
+            (matrix_csv_chunks(_matrix(matrix)), _old_matrix_to_csv(_matrix(matrix))),
+            (distances_csv_chunks(_summary(matrix)), _old_distances_to_csv(_summary(matrix))),
+        ):
+            pieces = list(pieces)
+            assert [piece.count("\n") for piece in pieces] == [1, 2, 2, 1]
+            assert "".join(pieces) == old
 
     def test_nan_distance_is_an_empty_field(self):
         # the old distance writer wrote "nan"; no distance of a valid panel is NaN

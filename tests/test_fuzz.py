@@ -177,14 +177,33 @@ def test_parse_panel_is_the_line_parser(text):
     _assert_parses_as_oracle(text)
 
 
+HEAD = ",".join(CSV_HEADER)
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=PARITY_TEXTS, chunk_lines=st.sampled_from([1, 2]))
-@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,v,1,y,5\na,u,1,x,5\n", chunk_lines=1)
-@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\na,u,1,x,5\na,v,1,y,5\n", chunk_lines=2)
-def test_parse_panel_in_small_chunks_is_the_line_parser(text, chunk_lines):
-    """Chunks of 1 and 2 lines put renamed and duplicate rows in another
-    chunk than the rows they repeat."""
-    with mock.patch.object(panel_module, "_CHUNK_LINES", chunk_lines):
+@given(text=PARITY_TEXTS, chunk_chars=st.integers(0, 24))
+@example(text=HEAD + "\na,u,1,x,5\na,v,1,y,5\na,u,1,x,5\n", chunk_chars=0)
+@example(text=HEAD + "\na,u,1,x,5\na,u,1,x,5\na,v,1,y,5\n", chunk_chars=10)
+# a line boundary other than "\n" just before and just after each cut, and
+# inside a chunk; the bad value's row number counts every line before it
+@example(text=HEAD + "\na,u,1,x,5\r\n\ra,v,1,x,5\ra,w,1,x,z\n", chunk_chars=0)
+@example(text=HEAD + "\r\na,u,1,x,5\r\n\r\na,v,1,x,5\r\na,w,1,x,z\r\n", chunk_chars=0)
+@example(text=HEAD + "\na,u,1,x,5\x0b\n\x0ba,v,1,x,5\x0ba,w,1,x,z\n", chunk_chars=0)
+@example(text=HEAD + "\na,u,1,x,5\x1c\n\x1ca,v,1,x,5\x1ca,w,1,x,z\n", chunk_chars=0)
+@example(text=HEAD + "\na,u,1,x,5\x85\n\x85a,v,1,x,5\x85a,w,1,x,z\n", chunk_chars=0)
+@example(text=HEAD + "\na,u,1,x,5\u2028\n\u2028a,v,1,x,5\u2028a,w,1,x,z\n", chunk_chars=0)
+# first chunks of comments only, or of a blank line, before the header
+@example(text="# c\n#,,,,\n" + HEAD + "\na,u,1,x,5\na,v,1,x,5\n", chunk_chars=0)
+@example(text="# c\n\n" + HEAD + "\na,u,1,x,5\na,v,1,x,5\n", chunk_chars=0)
+# a '"' in a later chunk only, on a line with 4 commas
+@example(text=HEAD + '\na,u,1,x,5\n"a",v,1,x,5\n', chunk_chars=0)
+# no "\n" at all: one chunk
+@example(text=HEAD + "\ra,u,1,x,5\ra,v,1,x,5", chunk_chars=0)
+@example(text=HEAD, chunk_chars=0)
+def test_parse_panel_in_small_chunks_is_the_line_parser(text, chunk_chars):
+    """Chunks of one "\\n" line (0 characters) and a few put renamed and
+    duplicate rows in another chunk than the rows they repeat."""
+    with mock.patch.object(panel_module, "_CHUNK_CHARS", chunk_chars):
         _assert_parses_as_oracle(text)
 
 

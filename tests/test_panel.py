@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,25 @@ class TestParse:
         assert again.periods == p.periods
         assert np.allclose(again.values, p.values)
 
+    def test_parse_holds_one_chunk_of_lines(self):
+        # the benchmark's tall input, 400 x 20 x 4 cells in 1.41 MiB of text:
+        # the peak beyond the text was 4.4 times its length when the whole
+        # text was split into lines at once, and is 1.18 times in chunks
+        config = am.SynthConfig(
+            units=400, indicators=20,
+            periods=tuple((f"2020-0{k}", ("baseline", "stressed")[k % 2]) for k in range(1, 5)),
+            baseline_means=(50.0,) * 20, noise_sd=4.0, loading_baseline=0.0,
+            loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+        )
+        text = am.serialize_panel(am.generate_panel(config))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            am.parse_panel(text)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(text)
 
     def test_values_shape_must_match_labels(self):
         with pytest.raises(PanelError, match=r"values shape \(1, 2, 1\) != \(1, 2, 2\)"):
