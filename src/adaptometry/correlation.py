@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import PeriodSlice, fixed_decimal_rows
+from .panel import PeriodSlice, fixed_decimal_rows, zero_variance
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -38,7 +39,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("non-finite sample value (NaN or inf)")
     units = tuple(str(k) for k in range(x.size))
     mat = correlation_matrix(PeriodSlice("", units, (0, 1), xy))
-    if mat.undefined_pairs:
+    if mat.zero_variance_ids:
         raise ZeroVarianceError("zero variance sample")
     return float(mat.values[0, 1])
 
@@ -47,13 +48,23 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 class CorrelationMatrix:
     """Symmetric matrix of pairwise Pearson correlations.
 
-    Entries involving a zero-variance indicator are NaN and the pair is
-    listed in ``undefined_pairs`` (ids, i < j).
+    Entries involving a zero-variance indicator are NaN; its id is in
+    ``zero_variance_ids`` (matrix order), and ``undefined_pairs`` derives
+    the pairs from those ids.
     """
 
     indicator_ids: tuple[int, ...]
     values: np.ndarray  # (n, n), NaN where undefined
-    undefined_pairs: frozenset[tuple[int, int]]
+    zero_variance_ids: tuple[int, ...]
+
+    @property
+    def undefined_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every id pair (i < j) that touches a zero-variance indicator,
+        built on each use."""
+        return frozenset(
+            (min(z, i), max(z, i))
+            for z in self.zero_variance_ids for i in self.indicator_ids if i != z
+        )
 
     @property
     def n(self) -> int:
@@ -93,8 +104,8 @@ class CorrelationNetwork:
 def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
     """All pairwise correlations over the slice's units.
 
-    Every pair touching a zero-variance indicator is left NaN and recorded
-    in ``undefined_pairs``.
+    Every pair touching a zero-variance indicator is left NaN, and the
+    indicator's id is recorded in ``zero_variance_ids``.
     """
     m, n = slice_.matrix.shape
     if m < 2:
@@ -110,10 +121,7 @@ def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
     # summed over the C-ordered `centered`: the F-ordered `sub` below sums in
     # another order, with other last digits
     ss = (centered * centered).sum(axis=0)
-    # all values equal, tested exactly: the centered sum of squares of a
-    # constant with an inexact mean (0.7 over 3 values) is about 4e-32, not 0
-    constant = slice_.matrix.min(axis=0) == slice_.matrix.max(axis=0)
-    degenerate = np.nonzero(constant)[0]
+    constant = zero_variance(slice_.matrix, 0)
     values = np.full((n, n), np.nan)
     ok = np.nonzero(~constant)[0]
     if ok.size:
@@ -124,12 +132,8 @@ def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
         np.clip(corr, -1.0, 1.0, out=corr)
         np.fill_diagonal(corr, 1.0)
         values[np.ix_(ok, ok)] = corr
-    ids = slice_.indicator_ids
-    undefined = frozenset(
-        (min(ids[a], ids[b]), max(ids[a], ids[b]))
-        for a in degenerate.tolist() for b in range(n) if b != a
-    )
-    return CorrelationMatrix(indicator_ids=tuple(ids), values=values, undefined_pairs=undefined)
+    ids = tuple(slice_.indicator_ids)
+    return CorrelationMatrix(ids, values, tuple(compress(ids, constant.tolist())))
 
 
 def build_network(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> CorrelationNetwork:

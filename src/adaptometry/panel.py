@@ -380,14 +380,21 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
                 f"value {panel.values[p_i, u_i, i_i]} outside [0, 100]",
             )
         )
-    # across fewer than 2 units every variance is zero, and the run fails anyway;
-    # all values equal, tested exactly: a constant with an inexact mean (0.7
-    # over 3 units) has a variance of about 1e-32, not 0
+    # across fewer than 2 units every variance is zero, and the run fails anyway
     if panel.n_units >= 2:
-        for p_i, i_i in zip(*np.nonzero(panel.values.min(axis=1) == panel.values.max(axis=1))):
+        for p_i, i_i in zip(*np.nonzero(zero_variance(panel.values, 1))):
             loc = f"({panel.periods[p_i]}, {panel.indicators[i_i].id})"
             report.warnings.append((loc, "zero variance across units"))
     return report
+
+
+def zero_variance(values: np.ndarray, units_axis: int) -> np.ndarray:
+    """Whether all values along the units axis are equal, tested exactly.
+
+    Not through the variance: a constant with an inexact mean (0.7 over 3
+    units) has a computed variance of about 1e-32, not 0.
+    """
+    return values.min(axis=units_axis) == values.max(axis=units_axis)
 
 
 def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:

@@ -14,7 +14,6 @@ dataset are closer to this variant.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -216,21 +215,11 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
 def profile_to_csv(profile: VariationProfile, flagged: Iterable[int] = ()) -> str:
     """Render ``indicator_id,cv_sample,cv_unnormalized,rank,flagged`` CSV."""
     flagged = set(flagged)
-    rank_of = {ind_id: pos + 1 for pos, ind_id in enumerate(profile.ranking)}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["indicator_id", "cv_sample", "cv_unnormalized", "rank", "flagged"])
-    for ind_id in profile.ranking:
-        writer.writerow(
-            [
-                ind_id,
-                _fmt(profile.cv_sample.get(ind_id)),
-                _fmt(profile.cv_unnormalized.get(ind_id)),
-                rank_of[ind_id],
-                int(ind_id in flagged),
-            ]
-        )
-    return buf.getvalue()
+    return "indicator_id,cv_sample,cv_unnormalized,rank,flagged\n" + "".join(
+        f"{ind_id},{_fmt(profile.cv_sample.get(ind_id))},"
+        f"{_fmt(profile.cv_unnormalized.get(ind_id))},{rank},{int(ind_id in flagged)}\n"
+        for rank, ind_id in enumerate(profile.ranking, start=1)
+    )
 
 
 def _fmt(v: float | None) -> str:

@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestThresholdGate:
     """The strict gate |r| > r0, as build_network applies it to one pair."""
 
     def edges(self, r, r0):
-        mat = am.CorrelationMatrix((1, 2), np.array([[1.0, r], [r, 1.0]]), frozenset())
+        mat = am.CorrelationMatrix((1, 2), np.array([[1.0, r], [r, 1.0]]), ())
         return len(am.build_network(mat, r0).edges)
 
     def test_above(self):
@@ -155,6 +156,7 @@ class TestCorrelationMatrix:
         m[:, 2] = 42.0
         flat = am.PeriodSlice(s.period, s.units, s.indicator_ids, m)
         mat = am.correlation_matrix(flat)
+        assert mat.zero_variance_ids == (3,)
         assert all(3 in pair for pair in mat.undefined_pairs)
         assert len(mat.undefined_pairs) == s.n_indicators - 1
         assert math.isnan(mat.values[0, 2])
@@ -167,9 +169,42 @@ class TestCorrelationMatrix:
         matrix[:, 2], matrix[:, 3] = 0.7, 0.1
         flat = am.PeriodSlice(s.period, s.units, s.indicator_ids, matrix)
         mat = am.correlation_matrix(flat)
+        assert mat.zero_variance_ids == (3, 4)
         assert mat.undefined_pairs == {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
         assert np.isnan(mat.values[2:]).all() and np.isnan(mat.values[:, 2:]).all()
         assert am.build_network(mat, 0.7).edges == ()
+
+    def test_zero_variance_ids_beyond_int64_stay_exact(self):
+        s = random_slice(2, n=4)
+        ids = (2**64, -(2**70), 2**70 + 1, 5)
+        matrix = s.matrix.copy()
+        matrix[:, 0] = matrix[:, 2] = 12.5
+        mat = am.correlation_matrix(am.PeriodSlice(s.period, s.units, ids, matrix))
+        assert mat.zero_variance_ids == (2**64, 2**70 + 1)
+        assert all(type(i) is int for i in mat.zero_variance_ids)
+        assert mat.undefined_pairs == {
+            (-(2**70), 2**64), (2**64, 2**70 + 1), (5, 2**64), (-(2**70), 2**70 + 1),
+            (5, 2**70 + 1),
+        }
+
+    def test_zero_variance_memory_is_near_the_result(self):
+        # 500 of 1000 columns constant: C(1000,2) - C(500,2) = 374,750
+        # undefined pairs. A frozenset of one tuple per pair peaked at 7.3
+        # times the 7.6 MiB result (55.6 MiB); with only the constant
+        # columns' ids kept, the peak is 2.2 times (16.8 MiB), mostly the
+        # matmul over the other 500 columns.
+        matrix = np.random.default_rng(0).uniform(0, 100, size=(300, 1000))
+        matrix[:, ::2] = 42.0
+        s = am.PeriodSlice("p00", tuple(f"u{k}" for k in range(300)), tuple(range(1, 1001)), matrix)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mat = am.correlation_matrix(s)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * mat.values.nbytes
+        assert len(mat.zero_variance_ids) == 500
 
     def test_tiny_values(self):
         # the squares of 1e-200 underflow to 0
@@ -223,7 +258,7 @@ class TestBuildNetwork:
     def test_three_indicator_toy(self):
         ids = (1, 2, 3)
         values = np.array([[1.0, 0.8, 0.9], [0.8, 1.0, 0.65], [0.9, 0.65, 1.0]])
-        mat = am.CorrelationMatrix(ids, values, frozenset())
+        mat = am.CorrelationMatrix(ids, values, ())
         net = am.build_network(mat, 0.7)
         assert net.total_weight == pytest.approx(1.70, abs=1e-12)
         assert net.degrees == {1: 2, 2: 1, 3: 1}
@@ -297,7 +332,7 @@ class TestBuildNetwork:
 
     def test_threshold_is_strict_for_both_signs(self):
         values = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, -0.50001], [-0.5, -0.50001, 1.0]])
-        net = am.build_network(am.CorrelationMatrix((1, 2, 3), values, frozenset()), 0.5)
+        net = am.build_network(am.CorrelationMatrix((1, 2, 3), values, ()), 0.5)
         assert [tuple(e) for e in net.edges] == [(2, 3, 0.50001)]
         assert net.degrees == {1: 0, 2: 1, 3: 1}
         assert net.total_weight == 0.50001

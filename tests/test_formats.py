@@ -237,7 +237,7 @@ def _old_distances_to_csv(summary: DispersionSummary) -> str:
 
 def _matrix(values) -> CorrelationMatrix:
     values = np.asarray(values, dtype=float)
-    return CorrelationMatrix(tuple(range(1, len(values) + 1)), values, frozenset())
+    return CorrelationMatrix(tuple(range(1, len(values) + 1)), values, ())
 
 
 def _summary(values) -> DispersionSummary:

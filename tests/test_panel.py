@@ -260,11 +260,14 @@ class TestValidate:
                 if rng.random() < 0.3:
                     values[p_i, :, i_i] = float(rng.integers(0, 100))
                     expected.add((p.periods[p_i], p.indicators[i_i].id))
-        report = am.validate(am.IndicatorPanel(p.periods, p.units, p.indicators, values))
-        flagged = {
-            tuple(loc.strip("()").split(", ")) for loc, _ in report.warnings
-        }
+        panel = am.IndicatorPanel(p.periods, p.units, p.indicators, values)
+        report = am.validate(panel)
+        flagged = [tuple(loc.strip("()").split(", ")) for loc, _ in report.warnings]
         assert {(a, int(b)) for a, b in flagged} == expected
+        # correlation_matrix finds the same indicators, in matrix order
+        for period in panel.periods:
+            matrix = am.correlation_matrix(am.slice_period(panel, period))
+            assert matrix.zero_variance_ids == tuple(int(b) for a, b in flagged if a == period)
 
 
 class TestImmutability:
