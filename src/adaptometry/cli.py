@@ -27,7 +27,8 @@ from . import __version__
 from .analysis import PeriodResult, analyze
 from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, matrix_csv_chunks
 from .dispersion import distances_csv_chunks
-from .panel import _FORMAT_BLOCK_ELEMENTS, PanelError, panel_csv_chunks, parse_panel, validate
+from .panel import (_FORMAT_BLOCK_ELEMENTS, PanelError, float_reprs, panel_csv_chunks,
+                    parse_panel, validate)
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
     ESTIMATORS,
@@ -209,8 +210,9 @@ def _edges_json(net: CorrelationNetwork) -> Iterator[str]:
     """The "edges" entry of a period record as json.dumps(doc, indent=2) writes
     it, in pieces of at most _FORMAT_BLOCK_ELEMENTS edges: json renders an int
     with int.__repr__ and a finite float with float.__repr__, and edge weights
-    are finite because correlations are clipped to [-1, 1]. Python floats, not
-    numpy scalars, whose repr differs."""
+    are finite because correlations are clipped to [-1, 1]. float_reprs gives
+    float.__repr__ of each weight (numpy digits from 1e-2 up, repr below), not
+    the repr of numpy scalars, which differs."""
     k = net.edge_weight.size
     if not k:
         yield '"edges": []'
@@ -221,12 +223,12 @@ def _edges_json(net: CorrelationNetwork) -> Iterator[str]:
     yield '"edges": ['
     for s in range(0, k, _FORMAT_BLOCK_ELEMENTS):
         block = slice(s, s + _FORMAT_BLOCK_ELEMENTS)
-        weights = net.edge_weight[block].tolist()
-        texts = ["\n        },"] * (4 * len(weights))  # each fourth text closes an edge
+        weights = net.edge_weight[block]
+        texts = ["\n        },"] * (4 * weights.size)  # each fourth text closes an edge
         texts[0::4] = map(i_texts.__getitem__, net.edge_a[block].tolist())
         texts[1::4] = map(j_texts.__getitem__, net.edge_b[block].tolist())
-        texts[2::4] = map(float.__repr__, weights)
-        if s + len(weights) == k:
+        texts[2::4] = float_reprs(weights)
+        if s + weights.size == k:
             texts[-1] = "\n        }\n      ]"
         yield "".join(texts)
 

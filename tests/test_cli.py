@@ -566,6 +566,18 @@ class TestReportJson:
         doc = _doc(results, threshold=0.7)
         assert _report(doc, results) == _old_report_json(doc, results)
 
+    def test_more_edges_than_a_block(self):
+        # 190 indicators driven by one factor: 17,955 edges with varied weights,
+        # two blocks of edges at the default block size
+        rng = np.random.default_rng(5)
+        factor = rng.normal(0.0, 10.0, (20, 1))
+        values = 50.0 + factor * rng.uniform(0.5, 1.5, 190) + rng.normal(0.0, 2.0, (20, 190))
+        results = list(am.analyze(_panel(("p",), values[None]), 0.7))
+        assert results[0].network.edge_weight.size == 17955 > cli_module._FORMAT_BLOCK_ELEMENTS
+        doc = _doc(results, threshold=0.7)
+        text = "".join(_report_json(doc, [r.network for r in results]))
+        assert text == _old_report_json(doc, results)
+
     def test_report_builds_no_edge_tuples(self, panel):
         results = list(am.analyze(panel, 0.7))
         _report(_doc(results, threshold=0.7), results)

@@ -8,6 +8,7 @@ row number, so that faster implementations can be checked against them.
 import dataclasses
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,8 @@ from adaptometry.dispersion import (
     distances_csv_chunks,
     distances_to_csv,
 )
-from adaptometry.panel import PanelError, csv_field
+from adaptometry.panel import PanelError, csv_field, float_reprs
+from adaptometry.synthgen import SynthConfig, generate_panel
 
 HEADER = "period,unit,indicator_id,indicator_name,value\n"
 
@@ -202,6 +204,80 @@ class TestPanelWriterMatchesOldWriter:
         )
         with mock.patch.object(panel_module, "_FORMAT_BLOCK_ELEMENTS", block):
             assert am.serialize_panel(panel) == _old_serialize_panel(panel)
+
+
+def test_benchmark_scale_panel_matches_old_writer():
+    # the 300 x 150 x 4 synth panel: per period blocks of 109, 109 and 82 units
+    config = SynthConfig(
+        units=300, indicators=150,
+        periods=tuple((f"2020-{p:02d}", ("baseline", "stressed")[p % 2]) for p in range(1, 5)),
+        baseline_means=(50.0,) * 150, noise_sd=4.0, loading_baseline=0.0,
+        loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+    )
+    panel = generate_panel(config)
+    assert am.serialize_panel(panel) == _old_serialize_panel(panel)
+
+
+def _reprs(values) -> list[str]:
+    """The reference: float.__repr__ of each value."""
+    return [float.__repr__(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _around(values) -> list[float]:
+    """Each value and the doubles one ulp below and above it."""
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+class TestFloatReprs:
+    """float_reprs gives float.__repr__ of every value, on its numpy path and off it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=40))  # NaN, infinities, signed zeros, subnormals
+    def test_any_floats(self, values):
+        assert float_reprs(np.array(values, dtype=float)) == _reprs(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-2, 1e15, exclude_max=True), max_size=40))
+    def test_numpy_path_domain(self, values):
+        assert float_reprs(np.array(values, dtype=float)) == _reprs(values)
+
+    @pytest.mark.parametrize("values", [
+        _around([1e-2, 1e15, 5e-324, 1e-5, 1e16, 1e17, 1e308]),
+        _around(2.0 ** np.arange(-13, 53)),  # a quarter gap below each
+        _around(10.0 ** np.arange(-5, 18)),
+        _around([0.1, 0.3, 0.7, 0.5, 2.675, 49.9, 99.99, 0.01, 0.07, 1.005, 123.456]),
+        _around(np.arange(0.0, 101.0)),
+        [99.99999999999999, 9.999999999999998, 0.9999999999999999, 1e15 - 0.125],
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -1.5, -0.7, 0.009999999999999998],
+    ], ids=["domain ends", "powers of two", "powers of ten", "short decimals", "integers",
+            "round up to a power of ten", "off the numpy path"])
+    def test_targeted(self, values):
+        assert float_reprs(np.array(values)) == _reprs(values)
+
+    @pytest.mark.parametrize("low,high", [(0.0, 100.0), (0.7, 1.0)])
+    def test_seeded_bulk(self, low, high):
+        # many passes, and the panel values and edge weights the writers format
+        values = np.random.default_rng(11).uniform(low, high, 10**5)
+        assert float_reprs(values) == _reprs(values)
+
+    def test_shapes(self):
+        assert float_reprs(np.empty(0)) == []
+        values = np.arange(12.0).reshape(3, 4) / 7
+        assert float_reprs(values) == _reprs(values)
+
+    def test_peak_memory(self):
+        # a pass at a time: at most a quarter more held at peak than by the reference
+        values = np.random.default_rng(3).uniform(0.0, 100.0, 2**14)
+        peaks = []
+        for fmt in (float_reprs, lambda v: list(map(float.__repr__, v.tolist()))):
+            tracemalloc.start()
+            try:
+                texts = fmt(values)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del texts
+        assert peaks[0] <= 1.25 * peaks[1]
 
 
 def _with_label(panel: am.IndicatorPanel, field: str, label: str) -> am.IndicatorPanel:
