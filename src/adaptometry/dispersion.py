@@ -60,6 +60,71 @@ def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
     return out
 
 
+def max_distance(slice_: PeriodSlice) -> float:
+    """d_max without the distance matrix: ``distance_matrix(slice_).max()``,
+    bit for bit.
+
+    A Gram-form screen bounds each pair's distance from one matrix product
+    per block of rows, and only the pairs whose upper bound reaches the
+    largest lower bound seen are recomputed, as distance_matrix computes
+    them. A block with a bound that is not finite (squares that overflow) is
+    recomputed whole, so at worst every pair is recomputed, in blocks of
+    pairs rather than one at a time. Memory is a few temporaries of at most
+    max(_BLOCK_ELEMENTS, m, n) doubles.
+    """
+    pts = slice_.matrix
+    m, n = pts.shape
+    if m < 2:
+        raise ValueError("need at least 2 units")
+    # Bounds on K**2, where K is distance_matrix's entry for rows a and b,
+    # and T = |a - b|**2 exactly; u = 2**-53, g(k) = k*u / (1 - k*u).
+    # - K rounds a subtraction, a square and a sqrt once each, and a sum of
+    #   n non-negative terms in any order, so |K**2 - T| <= g(n + 4) * T.
+    # - A = (|a|**2 + |b|**2) - 2 a.b from the computed norms and Gram entry
+    #   (Higham 2002, section 3.1: |fl(a.b) - a.b| <= g(n) sum |a_k b_k|,
+    #   for any order of the sum, with or without fma), so with
+    #   S = |a|**2 + |b|**2: |A - T| <= (2 g(n) + 3u) * S.
+    # - T <= 2 S, and P, the computed |a|**2 + |b|**2, is S to within
+    #   (n + 2) u, so |K**2 - A| <= (4n + 11) u S <= 8 (n + 4) u P / 2: the
+    #   factor of 2 covers the rounding of the bounds themselves.
+    # - A product or square that underflows is off by at most 2**-1075: n
+    #   squares in K, 2n products in the norms and 2n in 2 a.b, so at most
+    #   2.5 n * 2**-1074 in all, which (n + 1) * 2**-1071 covers 3 times over.
+    scale = 8 * (n + 4) * 2.0**-53
+    underflow = (n + 1) * 2.0**-1071
+    best = 0.0
+    largest_low = -np.inf
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))  # pairs per recheck block
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", pts, pts)
+        rows = max(1, _BLOCK_ELEMENTS // m)
+        for s in range(0, m, rows):
+            e = min(s + rows, m)
+            # rows s..e-1 against columns s..m-1, of which the pairs i < j count
+            approx = pts[s:e] @ pts[s:].T
+            approx *= -2.0
+            width = norms[s:e, None] + norms[None, s:]
+            approx += width
+            width *= scale
+            width += underflow
+            if np.isfinite(approx).all() and np.isfinite(width).all():
+                largest_low = max(largest_low, float((approx - width).max()))
+                approx += width
+                pick = approx >= largest_low
+            else:
+                pick = np.ones(approx.shape, dtype=bool)
+            del approx, width
+            a, b = np.nonzero(np.triu(pick, 1))
+            a += s
+            b += s
+            for k in range(0, a.size, step):
+                diff = pts[a[k:k + step]]
+                diff -= pts[b[k:k + step]]
+                diff *= diff
+                best = np.maximum(best, np.sqrt(diff.sum(axis=1)).max())
+    return float(best)
+
+
 def log_bounding_volume(slice_: PeriodSlice) -> float:
     """Natural log of the bounding-box volume; -inf when any range is zero."""
     amplitudes = slice_.matrix.max(axis=0) - slice_.matrix.min(axis=0)

@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import analyze
-from .panel import Indicator, IndicatorPanel, period_label_errors
+from .correlation import correlation_matrix, total_weight
+from .dispersion import max_distance
+from .panel import Indicator, IndicatorPanel, period_label_errors, slice_period
 
 REGIMES = ("baseline", "stressed")
 
@@ -136,16 +137,20 @@ def stress_contrast(config: SynthConfig) -> StressContrast:
 
     Returns regime means of the network total weight, at the default
     threshold, and of d_max; requires at least one baseline and one
-    stressed period.
+    stressed period. Each period's two figures equal those of ``analyze``
+    bit for bit, but no network or distance matrix is built: total_weight
+    sums the weights, and max_distance screens the unit pairs.
     """
     regimes = [regime for _, regime in config.periods]
     if "baseline" not in regimes or "stressed" not in regimes:
         raise SynthConfigError("need at least one baseline and one stressed period")
     w = {"baseline": [], "stressed": []}
     d = {"baseline": [], "stressed": []}
-    for regime, result in zip(regimes, analyze(generate_panel(config))):
-        w[regime].append(result.network.total_weight)
-        d[regime].append(result.dispersion.d_max)
+    panel = generate_panel(config)
+    for regime, period in zip(regimes, panel.periods):
+        s = slice_period(panel, period)
+        w[regime].append(total_weight(correlation_matrix(s)))
+        d[regime].append(max_distance(s))
     return StressContrast(
         w_baseline=float(np.mean(w["baseline"])),
         w_stressed=float(np.mean(w["stressed"])),

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: correlations come
 from the stdlib ``statistics`` module, distances and volumes from plain
 Python loops, and the ball diameter from non-log arithmetic with the exact
 half-integer gamma product. The panel oracle reads a file one line at a
-time, keeping each cell in a dict.
+time, keeping each cell in a dict. The stress-contrast oracle is the one
+exception: it is the full ``analyze`` path that ``stress_contrast`` skips.
 """
 
 import csv
@@ -13,7 +14,9 @@ import statistics
 
 import numpy as np
 
+from adaptometry.analysis import analyze
 from adaptometry.panel import CSV_HEADER, Indicator, IndicatorPanel, PanelError
+from adaptometry.synthgen import StressContrast, generate_panel
 
 
 def oracle_total_weight(matrix, r0: float = 0.7) -> float:
@@ -40,6 +43,22 @@ def oracle_pearson(x, y) -> float:
     if min(x) == max(x) or min(y) == max(y):
         raise statistics.StatisticsError("at least one of the inputs is constant")
     return statistics.correlation(x, y)
+
+
+def oracle_stress_contrast(config) -> StressContrast:
+    """Regime means of each period's network total_weight and d_max, from
+    the full networks and distance matrices that ``analyze`` builds."""
+    w = {"baseline": [], "stressed": []}
+    d = {"baseline": [], "stressed": []}
+    for (_, regime), result in zip(config.periods, analyze(generate_panel(config))):
+        w[regime].append(result.network.total_weight)
+        d[regime].append(result.dispersion.d_max)
+    return StressContrast(
+        w_baseline=float(np.mean(w["baseline"])),
+        w_stressed=float(np.mean(w["stressed"])),
+        d_max_baseline=float(np.mean(d["baseline"])),
+        d_max_stressed=float(np.mean(d["stressed"])),
+    )
 
 
 def oracle_distance(u, v) -> float:

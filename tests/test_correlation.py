@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import statistics
 import tracemalloc
 import warnings
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import adaptometry as am
-from adaptometry.correlation import ZeroVarianceError, matrix_to_csv
+from adaptometry.correlation import DEFAULT_THRESHOLD, ZeroVarianceError, matrix_to_csv, total_weight
 from oracles import oracle_pearson, oracle_total_weight
 
 # Computed by the stdlib-statistics brute-force oracle over the 17-indicator
@@ -347,6 +349,48 @@ class TestBuildNetwork:
         for period in panel.periods:
             net = am.build_network(am.correlation_matrix(am.slice_period(panel, period)))
             assert sum(net.degrees.values()) % 2 == 0
+
+
+class TestTotalWeight:
+    """total_weight is build_network's total without the network: the edge
+    weights added left to right in edge order."""
+
+    def one_factor_matrix(self, seed, m, n, loading, constant=()):
+        rng = np.random.default_rng(seed)
+        values = loading * rng.normal(0, 1, (m, 1)) + rng.normal(0, 1, (m, n))
+        values[:, list(constant)] = 3.0
+        return am.correlation_matrix(
+            am.PeriodSlice("p", tuple(range(m)), tuple(range(1, n + 1)), values)
+        )
+
+    def check(self, mat, r0):
+        net = am.build_network(mat, r0)
+        expected = functools.reduce(operator.add, net.edge_weight.tolist(), 0.0)
+        assert total_weight(mat, r0) == net.total_weight == expected
+        return net
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_undefined_pairs(self, seed):
+        mat = self.one_factor_matrix(seed, 30, 40, 2.0, constant=(0, 7, 8, 39))
+        assert mat.zero_variance_ids == (1, 8, 9, 40)
+        for r0 in (0.05, 0.5, DEFAULT_THRESHOLD):
+            assert self.check(mat, r0).edges
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_pair_above_the_threshold(self, seed):
+        mat = self.one_factor_matrix(seed, 200, 12, 0.0, constant=(3,))
+        assert total_weight(mat, 0.5) == 0.0
+        assert not self.check(mat, 0.5).edges
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_pair_above_the_threshold(self, seed):
+        mat = self.one_factor_matrix(seed, 50, 60, 30.0)
+        net = self.check(mat, DEFAULT_THRESHOLD)
+        assert len(net.edges) == 60 * 59 // 2
+
+    def test_default_threshold(self):
+        mat = self.one_factor_matrix(0, 40, 20, 1.5)
+        assert total_weight(mat) == am.build_network(mat).total_weight
 
 
 class TestDegreeCounts:

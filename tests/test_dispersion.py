@@ -1,15 +1,21 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import adaptometry as am
+from adaptometry import dispersion as dispersion_module
 from adaptometry.dispersion import (
     ball_diameter_from_log,
     dispersion_summary,
     distances_to_csv,
     log_bounding_volume,
+    max_distance,
 )
 from oracles import (
     oracle_ball_diameter,
@@ -154,16 +160,158 @@ class TestDistanceMatrix:
         assert lines[1].split(",")[1] == "0.00"
 
 
+def points_slice(points):
+    m, n = points.shape
+    return am.PeriodSlice("p", tuple(f"u{k}" for k in range(m)), tuple(range(1, n + 1)), points)
+
+
+def exact_d_max(s):
+    with np.errstate(over="ignore"):  # distance_matrix warns where squares overflow
+        return am.distance_matrix(s).max()
+
+
+class TestDistanceEntryForms:
+    """max_distance recomputes a pair as the row of a contiguous (k, n) block
+    of differences, while distance_matrix sums the rows of an (r, m, n)
+    block; both add a contiguous row of n squares in numpy's order, which is
+    also the order of the 1-D sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from((1, 7, 8, 9, 127, 128, 129, 300)),
+        m=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from((1e-3, 1.0, 100.0, 1e150)),
+        decimals=st.sampled_from((None, 0, 2)),
+    )
+    def test_every_entry_equals_both_forms(self, n, m, seed, scale, decimals):
+        points = np.random.default_rng(seed).uniform(-scale, scale, (m, n))
+        if decimals is not None:
+            points = points.round(decimals)
+        dm = am.distance_matrix(points_slice(points))
+        a, b = np.divmod(np.arange(m * m), m)
+        block = np.sqrt(((points[a] - points[b]) ** 2).sum(axis=-1)).reshape(m, m)
+        assert np.array_equal(dm, block)
+        for i in range(m):
+            for j in range(m):
+                assert dm[i, j] == np.sqrt(((points[i] - points[j]) ** 2).sum())
+
+
+# values at the edges of the panel range, inside it, and of magnitudes where
+# squares overflow (1e200) or underflow (1e-160)
+POINT_VALUES = st.one_of(
+    st.sampled_from((0.0, 100.0, 50.0)),
+    st.floats(0.0, 100.0),
+    st.floats(1e199, 1e201),
+    st.floats(-1e201, -1e199),
+    st.floats(-1e-160, 1e-160),
+)
+
+
+@st.composite
+def unit_points(draw):
+    m = draw(st.integers(2, 24))
+    n = draw(st.integers(1, 9))
+    points = draw(arrays(np.float64, (m, n), elements=POINT_VALUES))
+    if draw(st.booleans()):  # duplicate units: many tied pairs
+        points = points[draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+    constant = draw(arrays(np.bool_, n))
+    points[:, constant] = points[0, constant]
+    return points
+
+
 class TestMaxDistance:
     def test_published_maxima(self, panel):
         reduced = am.exclude_indicators(panel, {17, 19})
         for period, published in (("2010-03", 46.16), ("2009-08", 31.59)):
             s = am.slice_period(reduced, period)
             assert dispersion_summary(s).d_max == pytest.approx(published, abs=0.50)
+            assert max_distance(s) == dispersion_summary(s).d_max
 
     def test_identical_units(self):
         s = am.PeriodSlice("p", ("a", "b", "c"), (1, 2), np.full((3, 2), 4.0))
         assert dispersion_summary(s).d_max == 0.0
+        assert max_distance(s) == 0.0
+
+    # a block of 1 element holds one row of the screen and one recheck pair
+    @settings(max_examples=300, deadline=None)
+    @given(points=unit_points(),
+           block=st.sampled_from((dispersion_module._BLOCK_ELEMENTS, 1, 5, 40)))
+    @example(points=np.array([[3.0, 4.0], [0.0, 0.0]]), block=1)
+    @example(points=np.full((5, 3), 100.0), block=1)
+    @example(points=np.array([[1e200, 0.0], [-1e200, 1.0], [5.0, 5.0]]), block=1)
+    # every norm overflows, no distance does
+    @example(points=np.array([[1e200, 0.0], [1e200, 3.0], [1e200, 1.0]]), block=1)
+    def test_equals_the_matrix_maximum(self, points, block):
+        s = points_slice(points)
+        expected = exact_d_max(s)
+        with mock.patch.object(dispersion_module, "_BLOCK_ELEMENTS", block):
+            assert max_distance(s) == expected
+
+    @pytest.mark.parametrize("m", [2, 3, 40, 300])
+    @pytest.mark.parametrize("offset,side", [(0.0, 1.0), (50.0, 10.0), (0.0, 1e200)])
+    def test_simplex_every_pair_ties(self, m, offset, side):
+        # units at the vertices of a regular simplex: one distance for every pair
+        s = points_slice(offset + side * np.eye(m))
+        assert max_distance(s) == exact_d_max(s)
+
+    FARTHEST = {"first rows": (0, 1), "first and last": (0, 699), "last rows": (698, 699)}
+
+    @pytest.mark.parametrize("pair", FARTHEST.values(), ids=FARTHEST.keys())
+    @pytest.mark.parametrize("huge_row", [None, 350])
+    def test_many_blocks(self, pair, huge_row):
+        # 700 units: 93 rows per screen block, so 8 blocks
+        points = np.random.default_rng(sum(pair)).uniform(40.0, 60.0, (700, 20)).round(1)
+        points[pair[0]] -= 30.0
+        points[pair[1]] += 30.0
+        points[420:430] = points[pair[1]]  # ties with the farthest pair
+        if huge_row is not None:
+            # its squares overflow: d_max is inf, from the blocks whose
+            # bounds are not finite, while the other blocks are screened
+            points[huge_row, 3] = 1e200
+        expected = exact_d_max(points_slice(points))
+        assert max_distance(points_slice(points)) == expected
+        assert (expected == math.inf) == (huge_row is not None)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_common_offset(self, offset, seed):
+        # |a|**2 + |b|**2 - 2 a.b cancels: the screen's error dwarfs the distances
+        points = offset + np.random.default_rng(seed).uniform(0.0, 1.0, (60, 5))
+        s = points_slice(points)
+        assert max_distance(s) == exact_d_max(s)
+
+    # squares of 1e-161 are subnormal: each rounds with an absolute error
+    @pytest.mark.parametrize("exponent", [-150, -158, -161])
+    @pytest.mark.parametrize("m,n", [(8, 2), (30, 5), (20, 20)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_squares_underflow(self, exponent, m, n, seed):
+        points = np.random.default_rng(seed).uniform(0.0, 1.0, (m, n)) * 10.0**exponent
+        s = points_slice(points)
+        assert max_distance(s) == exact_d_max(s)
+
+    def test_single_unit_is_error(self):
+        with pytest.raises(ValueError, match="need at least 2 units"):
+            max_distance(random_slice(0, m=1))
+
+    def test_no_indicators(self):
+        assert max_distance(am.PeriodSlice("p", ("a", "b"), (), np.empty((2, 0)))) == 0.0
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "every pair tied"])
+    def test_memory_is_a_few_blocks(self, tied):
+        # the distance matrix alone would be 3000**2 * 8 bytes = 69 MiB
+        m, n = 3000, 4
+        s = random_slice(4, m=m, n=n)
+        if tied:
+            s = points_slice(np.full((m, n), 7.0))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            max_distance(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * dispersion_module._BLOCK_ELEMENTS * 8
 
 
 class TestBoundingVolume:

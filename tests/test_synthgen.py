@@ -9,6 +9,7 @@ from adaptometry.synthgen import (
     SynthConfigError,
     parse_synth_config,
 )
+from oracles import oracle_stress_contrast
 
 
 def make_config(**overrides):
@@ -279,6 +280,34 @@ class TestStressContrast:
         )
         for v in (c.w_baseline, c.w_stressed, c.d_max_baseline, c.d_max_stressed):
             assert np.isfinite(v)
+
+    # the benchmark's synth size: 300 units, 150 indicators, 4 alternating periods
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_equals_the_analyze_path_at_benchmark_size(self, seed):
+        periods = tuple((f"2020-0{p + 1}", ("baseline", "stressed")[p % 2]) for p in range(4))
+        config = self.contrast_config(
+            seed, units=300, indicators=150, baseline_means=(50.0,) * 150,
+            noise_sd=4.0, periods=periods,
+        )
+        assert am.stress_contrast(config) == oracle_stress_contrast(config)
+
+    SMALL_SHAPES = {
+        "one indicator": (40, 1, ("baseline", "stressed")),
+        "two units": (2, 5, ("stressed", "baseline")),
+        "two units, one indicator": (2, 1, ("baseline", "stressed", "stressed")),
+        "odd period count": (17, 9, ("baseline", "stressed", "baseline", "stressed", "baseline")),
+        "three units": (3, 4, ("stressed", "baseline", "baseline")),
+    }
+
+    @pytest.mark.parametrize("units,indicators,regimes", SMALL_SHAPES.values(),
+                             ids=SMALL_SHAPES.keys())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_analyze_path_on_small_shapes(self, units, indicators, regimes, seed):
+        config = self.contrast_config(
+            seed, units=units, indicators=indicators, baseline_means=(50.0,) * indicators,
+            periods=tuple((f"2020-{p + 1:02d}", r) for p, r in enumerate(regimes)),
+        )
+        assert am.stress_contrast(config) == oracle_stress_contrast(config)
 
     def test_monotone_in_stressed_loading(self):
         # mean stressed weight over 100 seeds must not decrease with loading
