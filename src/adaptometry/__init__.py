@@ -8,7 +8,7 @@ alternative grouping axis.
 
 __version__ = "0.1.0"
 
-from .analysis import PeriodResult, analyze, dispersion_series, weight_series
+from .analysis import PeriodResult, analyze, weight_series
 from .correlation import (
     CorrelationMatrix,
     CorrelationNetwork,

@@ -1,8 +1,8 @@
 """The per-period pipeline: one correlation network and one dispersion summary
 per period.
 
-``analyze`` is the only place that walks the periods of a panel; the series
-helpers below and the CLI are views over its result.
+``analyze`` is the only place that walks the periods of a panel;
+``weight_series`` below and the CLI are views over its result.
 """
 
 from __future__ import annotations
@@ -48,10 +48,3 @@ def weight_series(
 ) -> list[tuple[str, float]]:
     """Total network weight per period, after excluding the given indicators."""
     return [(r.period, r.network.total_weight) for r in analyze(panel, r0, exclude)]
-
-
-def dispersion_series(
-    panel: IndicatorPanel, exclude: Iterable[int] = ()
-) -> list[DispersionSummary]:
-    """One DispersionSummary per period, after excluding the given indicators."""
-    return [r.dispersion for r in analyze(panel, exclude=exclude)]

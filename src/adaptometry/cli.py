@@ -25,10 +25,8 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .analysis import PeriodResult, analyze
-from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork, matrix_csv_chunks
-from .dispersion import distances_csv_chunks
-from .panel import (_FORMAT_BLOCK_ELEMENTS, PanelError, float_reprs, panel_csv_chunks,
-                    parse_panel, validate)
+from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork
+from .panel import PanelError, panel_csv_chunks, parse_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
     ESTIMATORS,
@@ -38,6 +36,7 @@ from .variation import (
     profile_to_csv,
     variation_table,
 )
+from .writers import blocks, csv_field, float_reprs, matrix_csv_chunks
 
 
 class UsageError(ValueError):
@@ -124,10 +123,14 @@ def _run_analyze(args) -> None:
     # and its network outlive it, for the report and the plots
     records: list[dict] = []
     networks: list[CorrelationNetwork] = []
+    units = [csv_field(unit) for unit in panel.units]
     for result in analyze(panel, args.threshold, exclude):
         name = f"{result.period}.csv"
-        _write(os.path.join(args.out, "matrices", name), matrix_csv_chunks(result.network.matrix))
-        _write(os.path.join(args.out, "distances", name), distances_csv_chunks(result.dispersion))
+        ids = [str(i) for i in result.network.matrix.indicator_ids]
+        _write(os.path.join(args.out, "matrices", name),
+               matrix_csv_chunks("indicator_id", ids, result.network.matrix.values))
+        _write(os.path.join(args.out, "distances", name),
+               matrix_csv_chunks("unit", units, result.dispersion.distance_matrix))
         records.append(_period_record(result))
         networks.append(result.network)
         del result  # else its distance matrix lives on while the next period's is built
@@ -208,7 +211,7 @@ def _report_json(doc: dict, networks: Iterable[CorrelationNetwork]) -> Iterator[
 
 def _edges_json(net: CorrelationNetwork) -> Iterator[str]:
     """The "edges" entry of a period record as json.dumps(doc, indent=2) writes
-    it, in pieces of at most _FORMAT_BLOCK_ELEMENTS edges: json renders an int
+    it, in pieces of one block of edges (writers.blocks): json renders an int
     with int.__repr__ and a finite float with float.__repr__, and edge weights
     are finite because correlations are clipped to [-1, 1]. float_reprs gives
     float.__repr__ of each weight (numpy digits from 1e-2 up, repr below), not
@@ -221,14 +224,13 @@ def _edges_json(net: CorrelationNetwork) -> Iterator[str]:
     i_texts = [f'\n        {{\n          "i": {i},\n          "j": ' for i in ids]
     j_texts = [f'{j},\n          "abs_r": ' for j in ids]
     yield '"edges": ['
-    for s in range(0, k, _FORMAT_BLOCK_ELEMENTS):
-        block = slice(s, s + _FORMAT_BLOCK_ELEMENTS)
+    for block in blocks(k, 1):
         weights = net.edge_weight[block]
         texts = ["\n        },"] * (4 * weights.size)  # each fourth text closes an edge
         texts[0::4] = map(i_texts.__getitem__, net.edge_a[block].tolist())
         texts[1::4] = map(j_texts.__getitem__, net.edge_b[block].tolist())
         texts[2::4] = float_reprs(weights)
-        if s + weights.size == k:
+        if block.stop >= k:
             texts[-1] = "\n        }\n      ]"
         yield "".join(texts)
 

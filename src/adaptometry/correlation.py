@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import PeriodSlice, fixed_decimal_rows, zero_variance
+from .panel import PeriodSlice, zero_variance
+from .writers import matrix_csv_chunks
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -197,14 +198,6 @@ def degree_counts(
 
 def matrix_to_csv(matrix: CorrelationMatrix) -> str:
     """Render the matrix as CSV with an id header row/column; NaN is empty:
-    the text of matrix_csv_chunks, in one string."""
-    return "".join(matrix_csv_chunks(matrix))
-
-
-def matrix_csv_chunks(matrix: CorrelationMatrix) -> Iterator[str]:
-    """The CSV of matrix_to_csv in pieces: the header row, then the rows in
-    blocks. Entries read as ``"%.2f"`` writes them (see fixed_decimal_rows).
-    """
+    the text of writers.matrix_csv_chunks, in one string."""
     ids = [str(i) for i in matrix.indicator_ids]
-    yield ",".join(["indicator_id", *ids]) + "\n"
-    yield from fixed_decimal_rows(ids, matrix.values)
+    return "".join(matrix_csv_chunks("indicator_id", ids, matrix.values))

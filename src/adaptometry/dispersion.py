@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .panel import PeriodSlice, csv_field, fixed_decimal_rows
+from .panel import PeriodSlice
+from .writers import csv_field, matrix_csv_chunks
 
 
 @dataclass(frozen=True)
@@ -197,16 +197,6 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
 
 def distances_to_csv(summary: DispersionSummary) -> str:
     """Render the symmetric distance matrix as CSV with unit labels: the
-    text of distances_csv_chunks, in one string."""
-    return "".join(distances_csv_chunks(summary))
-
-
-def distances_csv_chunks(summary: DispersionSummary) -> Iterator[str]:
-    """The CSV of distances_to_csv in pieces: the header row, then the rows
-    in blocks. Entries read as ``"%.2f"`` writes them (see
-    fixed_decimal_rows); NaN, which no distance between valid units is, as
-    an empty field.
-    """
+    text of writers.matrix_csv_chunks, in one string."""
     labels = [csv_field(unit) for unit in summary.units]
-    yield ",".join(["unit", *labels]) + "\n"
-    yield from fixed_decimal_rows(labels, summary.distance_matrix)
+    return "".join(matrix_csv_chunks("unit", labels, summary.distance_matrix))

@@ -30,7 +30,7 @@ def test_series_are_views_of_analyze(panel):
     assert am.weight_series(panel, 0.6, {17}) == [
         (r.period, r.network.total_weight) for r in results
     ]
-    series = am.dispersion_series(panel, {17})
+    series = [r.dispersion for r in am.analyze(panel, exclude={17})]
     assert [(d.period, d.d_max, d.d_min) for d in series] == [
         (r.period, r.dispersion.d_max, r.dispersion.d_min) for r in results
     ]

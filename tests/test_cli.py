@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry import cli as cli_module
+from adaptometry import writers
 from adaptometry.cli import _period_record, _report_json, main
 
 SYNTH_CONFIG = """\
@@ -516,8 +517,8 @@ def _report(doc: dict, results) -> str:
     not depend on the edges per piece: the default, and 1, 2 and 3, which
     split a period's edges so that its last piece is partial or full."""
     texts = set()
-    for block in (cli_module._FORMAT_BLOCK_ELEMENTS, 1, 2, 3):
-        with mock.patch.object(cli_module, "_FORMAT_BLOCK_ELEMENTS", block):
+    for block in (writers._FORMAT_BLOCK_ELEMENTS, 1, 2, 3):
+        with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
             texts.add("".join(_report_json(doc, [r.network for r in results])))
     assert len(texts) == 1
     return texts.pop()
@@ -573,7 +574,7 @@ class TestReportJson:
         factor = rng.normal(0.0, 10.0, (20, 1))
         values = 50.0 + factor * rng.uniform(0.5, 1.5, 190) + rng.normal(0.0, 2.0, (20, 190))
         results = list(am.analyze(_panel(("p",), values[None]), 0.7))
-        assert results[0].network.edge_weight.size == 17955 > cli_module._FORMAT_BLOCK_ELEMENTS
+        assert results[0].network.edge_weight.size == 17955 > writers._FORMAT_BLOCK_ELEMENTS
         doc = _doc(results, threshold=0.7)
         text = "".join(_report_json(doc, [r.network for r in results]))
         assert text == _old_report_json(doc, results)

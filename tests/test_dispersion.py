@@ -424,14 +424,14 @@ class TestBallDiameter:
 
 class TestDispersionSeries:
     def test_reference_dmax_series(self, panel):
-        series = am.dispersion_series(panel, exclude={17, 19})
+        series = [r.dispersion for r in am.analyze(panel, exclude={17, 19})]
         expected = (31.59, 46.16, 38.24, 40.72)
         assert [d.period for d in series] == list(panel.periods)
         for summary, e in zip(series, expected):
             assert summary.d_max == pytest.approx(e, abs=0.50)
 
     def test_reference_dmin_series(self, panel):
-        series = am.dispersion_series(panel)
+        series = [r.dispersion for r in am.analyze(panel)]
         for summary, frozen in zip(series, DMIN_SERIES_FULL):
             assert summary.d_min == pytest.approx(frozen, abs=1e-4)
             assert summary.d_min == pytest.approx(
@@ -446,12 +446,12 @@ class TestDispersionSeries:
             tuple(am.Indicator(i, f"i{i}") for i in s.indicator_ids),
             s.matrix[None, :, :],
         )
-        series = am.dispersion_series(panel)
+        series = [r.dispersion for r in am.analyze(panel)]
         assert len(series) == 1
         assert series[0].d_max == am.distance_matrix(s).max()
 
     def test_summary_invariants(self, panel):
-        for summary in am.dispersion_series(panel):
+        for summary in [r.dispersion for r in am.analyze(panel)]:
             assert summary.d_max == summary.distance_matrix.max()
             assert (summary.d_min == 0.0) == (summary.volume == 0.0)
             assert summary.d_min >= 0.0

@@ -18,20 +18,13 @@ from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry import panel as panel_module
-from adaptometry.correlation import (
-    CorrelationMatrix,
-    correlation_matrix,
-    matrix_csv_chunks,
-    matrix_to_csv,
-)
-from adaptometry.dispersion import (
-    DispersionSummary,
-    dispersion_summary,
-    distances_csv_chunks,
-    distances_to_csv,
-)
-from adaptometry.panel import PanelError, csv_field, float_reprs
+from adaptometry import writers
+from adaptometry.cli import _period_record, _report_json
+from adaptometry.correlation import CorrelationMatrix, correlation_matrix, matrix_to_csv
+from adaptometry.dispersion import DispersionSummary, dispersion_summary, distances_to_csv
+from adaptometry.panel import PanelError
 from adaptometry.synthgen import SynthConfig, generate_panel
+from adaptometry.writers import csv_field, float_reprs, matrix_csv_chunks
 
 HEADER = "period,unit,indicator_id,indicator_name,value\n"
 
@@ -174,13 +167,13 @@ class TestPanelWriterMatchesOldWriter:
         # 5 units leave a partial last block of 2 and 3 units, 6 a full one
         panel = _special_panel(n_units)
         if units_per_block:
-            monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", units_per_block * 4)
+            monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", units_per_block * 4)
         pieces = list(panel_module.panel_csv_chunks(panel))
         assert len(pieces) == 1 + 2 * -(-n_units // (units_per_block or n_units))
         assert "".join(pieces) == am.serialize_panel(panel) == _old_serialize_panel(panel)
 
     def test_block_smaller_than_a_unit(self, monkeypatch):
-        monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 3)  # < 4 indicators
+        monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", 3)  # < 4 indicators
         panel = _special_panel(5)
         assert len(list(panel_module.panel_csv_chunks(panel))) == 1 + 2 * 5
         assert am.serialize_panel(panel) == _old_serialize_panel(panel)
@@ -202,7 +195,7 @@ class TestPanelWriterMatchesOldWriter:
             indicators=tuple(am.Indicator(k, f"x{k}") for k in range(shape[2])),
             values=values.reshape(shape),
         )
-        with mock.patch.object(panel_module, "_FORMAT_BLOCK_ELEMENTS", block):
+        with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
             assert am.serialize_panel(panel) == _old_serialize_panel(panel)
 
 
@@ -352,7 +345,7 @@ class TestWritersMatchOldWriters:
         matrix = _rolled(values + [0.0] * (1 - len(values) % 2))
         if rows_per_block:
             block = rows_per_block * len(matrix)
-            monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", block)
         assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
         assert distances_to_csv(_summary(matrix)) == _old_distances_to_csv(_summary(matrix))
 
@@ -373,17 +366,19 @@ class TestWritersMatchOldWriters:
         )
 
     def test_one_entry_per_block(self, monkeypatch):
-        monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", 1)
         assert matrix_to_csv(_matrix([[0.375]])) == "indicator_id,1\n1,0.38\n"
         assert distances_to_csv(_summary([[-0.0]])) == 'unit,"""u,0"""\n"""u,0""",-0.00\n'
 
     def test_pieces_are_the_header_then_each_block(self, monkeypatch):
         # 5 rows in blocks of 2 rows: the largest piece is one block, not the file
-        monkeypatch.setattr(panel_module, "_FORMAT_BLOCK_ELEMENTS", 2 * 5)
+        monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", 2 * 5)
         matrix = _rolled(TIES[:5])
+        ids = [str(i) for i in _matrix(matrix).indicator_ids]
+        units = [csv_field(unit) for unit in _summary(matrix).units]
         for pieces, old in (
-            (matrix_csv_chunks(_matrix(matrix)), _old_matrix_to_csv(_matrix(matrix))),
-            (distances_csv_chunks(_summary(matrix)), _old_distances_to_csv(_summary(matrix))),
+            (matrix_csv_chunks("indicator_id", ids, matrix), _old_matrix_to_csv(_matrix(matrix))),
+            (matrix_csv_chunks("unit", units, matrix), _old_distances_to_csv(_summary(matrix))),
         ):
             pieces = list(pieces)
             assert [piece.count("\n") for piece in pieces] == [1, 2, 2, 1]
@@ -412,11 +407,56 @@ class TestWritersMatchOldWriters:
         values = np.array(data.draw(st.lists(entry, min_size=size**2, max_size=size**2)))
         matrix = values.reshape(size, size)
         nan = np.array(data.draw(st.lists(st.booleans(), min_size=size**2, max_size=size**2)))
-        with mock.patch.object(panel_module, "_FORMAT_BLOCK_ELEMENTS", block):
+        with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
             assert distances_to_csv(_summary(matrix)) == _old_distances_to_csv(_summary(matrix))
             matrix[nan.reshape(size, size)] = np.nan
             assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
 
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_one_block_size_cuts_every_chunked_writer(block):
+    # 2 periods x 5 units x 4 indicators, each an affine function of one unit
+    # factor, so all 6 pairs are edges in both periods
+    factor = np.array([10.0, 30.0, 20.0, 60.0, 45.0])
+    values = np.stack([factor, 100 - factor, factor / 2 + 7, 90 - factor], axis=1)
+    panel = am.IndicatorPanel(
+        periods=("a", "b"),
+        units=tuple(f"u{k}" for k in range(5)),
+        indicators=tuple(am.Indicator(k + 1, f"x{k + 1}") for k in range(4)),
+        values=np.stack([values, values]),
+    )
+    results = list(am.analyze(panel))
+    doc = {"metadata": {}, "periods": [_period_record(r) for r in results]}
+    ids = [str(i) for i in panel.indicator_ids]
+    units = [csv_field(unit) for unit in panel.units]
+
+    def pieces() -> dict[str, list[str]]:
+        return {
+            "panel.csv": list(panel_module.panel_csv_chunks(panel)),
+            "matrix": list(matrix_csv_chunks("indicator_id", ids,
+                                             results[0].network.matrix.values)),
+            "distances": list(matrix_csv_chunks("unit", units,
+                                                results[0].dispersion.distance_matrix)),
+            "report.json": list(_report_json(doc, [r.network for r in results])),
+        }
+
+    default = pieces()
+    with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
+        patched = pieces()
+    # a header, then one piece per block: a period's units (4 cells each, so
+    # one per block) or a matrix row; report.json is its head and last
+    # newline, and per period the edges' opening, their blocks of `block`
+    # edges and the text after them
+    assert {name: len(texts) for name, texts in default.items()} == {
+        "panel.csv": 1 + 2, "matrix": 1 + 1, "distances": 1 + 1, "report.json": 2 + 2 * 3,
+    }
+    assert {name: len(texts) for name, texts in patched.items()} == {
+        "panel.csv": 1 + 2 * 5, "matrix": 1 + 4, "distances": 1 + 5,
+        "report.json": 2 + 2 * (2 + -(-6 // block)),
+    }
+    for name, texts in patched.items():
+        assert "".join(texts) == "".join(default[name]), name
 
 # Comment and blank lines count toward row numbers: the first data row is row 5.
 PREAMBLE = "# source: test\n" + HEADER + "# wave 1\n\n2020,A,1,a,10\n"
