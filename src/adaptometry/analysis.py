@@ -1,8 +1,10 @@
 """The per-period pipeline: one correlation network and one dispersion summary
 per period.
 
-``analyze`` is the only place that walks the periods of a panel;
-``weight_series`` below and the CLI are views over its result.
+``analyze`` walks the periods of a panel for ``weight_series`` below and
+the CLI, which are views over its result. ``synthgen.stress_contrast`` keeps
+its own walk: it needs only each period's total weight and d_max, which it
+computes without the network and the distance matrix that ``analyze`` builds.
 """
 
 from __future__ import annotations

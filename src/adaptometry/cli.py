@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
@@ -277,26 +276,24 @@ def _read_file(path: str) -> str:
             f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
     del data
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        text = text.replace("\r", "\n")
+    text = text.replace("\r\n", "\n")
+    text = text.replace("\r", "\n")
     return text
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
     """Write the texts of ``chunks``, each as it comes, then rename, into a
     parent directory made if missing, so a partly written file never appears,
-    whatever raises on the way; the file gets the mode ``open`` would give it."""
+    whatever raises on the way; the file gets the mode ``open`` would give it,
+    0o666 less the umask, which the kernel applies when the temporary is made."""
     directory = os.path.dirname(path) or "."
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
-            umask = os.umask(0)  # os.umask only reads the mask by replacing it
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

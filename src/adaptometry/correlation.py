@@ -125,14 +125,13 @@ def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
     constant = zero_variance(slice_.matrix, 0)
     values = np.full((n, n), np.nan)
     ok = np.nonzero(~constant)[0]
-    if ok.size:
-        sub = centered[:, ok]
-        cov = sub.T @ sub
-        norm = np.sqrt(ss[ok])
-        corr = cov / np.outer(norm, norm)
-        np.clip(corr, -1.0, 1.0, out=corr)
-        np.fill_diagonal(corr, 1.0)
-        values[np.ix_(ok, ok)] = corr
+    sub = centered[:, ok]
+    cov = sub.T @ sub
+    norm = np.sqrt(ss[ok])
+    corr = cov / np.outer(norm, norm)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    values[np.ix_(ok, ok)] = corr
     ids = tuple(slice_.indicator_ids)
     return CorrelationMatrix(ids, values, tuple(compress(ids, constant.tolist())))
 

@@ -183,12 +183,16 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
     """All dispersion figures for one period."""
     dm = distance_matrix(slice_)
     log_v = log_bounding_volume(slice_)
+    try:
+        volume = math.exp(log_v)
+    except OverflowError:  # above ln of the largest double, about 709.78
+        volume = math.inf
     return DispersionSummary(
         period=slice_.period,
         units=slice_.units,
         distance_matrix=dm,
         d_max=float(dm.max()),
-        volume=math.exp(log_v) if log_v < 709 else math.inf,
+        volume=volume,
         log_volume=log_v,
         d_min=ball_diameter_from_log(log_v, slice_.n_indicators),
         n_indicators=slice_.n_indicators,

@@ -344,11 +344,6 @@ def validate(panel: IndicatorPanel) -> ValidationReport:
     downstream is undefined.
     """
     report = ValidationReport(errors=period_label_errors(panel.periods))
-    for a, b in zip(panel.periods, panel.periods[1:]):
-        if not a < b:
-            report.errors.append(
-                (f"period {b}", f"period labels not strictly increasing ({a!r} then {b!r})")
-            )
     if len(set(panel.units)) != panel.n_units:
         report.errors.append(("units", "duplicate unit labels"))
     if len(set(panel.indicator_ids)) != panel.n_indicators:
@@ -384,7 +379,8 @@ def zero_variance(values: np.ndarray, units_axis: int) -> np.ndarray:
 def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
     """(location, message) for each period label that cannot name an output
     file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, or equal to an
-    earlier label under ``str.casefold``."""
+    earlier label under ``str.casefold``; then one for each label not
+    greater than the one before it."""
     errors = []
     folded: dict[str, str] = {}  # casefolded label -> first label with it
     for period in periods:
@@ -400,6 +396,11 @@ def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
                 f"period labels {first!r} and {period!r} differ only in case, so their "
                 "output files collide on case-insensitive file systems",
             ))
+    for a, b in zip(periods, periods[1:]):
+        if not a < b:
+            errors.append(
+                (f"period {b}", f"period labels not strictly increasing ({a!r} then {b!r})")
+            )
     return errors
 
 

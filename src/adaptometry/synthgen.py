@@ -59,10 +59,7 @@ class SynthConfig:
         if not self.periods:
             raise SynthConfigError("need at least 1 period")
         _check_size(self.units, self.indicators, len(self.periods))
-        labels = [p for p, _ in self.periods]
-        if sorted(labels) != labels or len(set(labels)) != len(labels):
-            raise SynthConfigError("period labels must be strictly increasing")
-        label_errors = period_label_errors(labels)
+        label_errors = period_label_errors([p for p, _ in self.periods])
         if label_errors:  # the first only: a config error is one line
             raise SynthConfigError(": ".join(label_errors[0]))
         for _, regime in self.periods:

@@ -71,18 +71,14 @@ class VariationProfile:
         return self.cv_sample if self.estimator == "sample" else self.cv_unnormalized
 
     @classmethod
-    def from_scores(cls, scores: Mapping[int, float], estimator: str = "sample"):
-        """Build a profile from externally supplied CV scores.
+    def from_scores(cls, scores: Mapping[int, float]):
+        """Build a ``sample`` profile from externally supplied CV scores.
 
         Useful for ranking published CV columns that cannot be recomputed.
         """
         scores = {int(k): float(v) for k, v in scores.items()}
-        return cls(
-            estimator=estimator,
-            cv_sample=scores if estimator == "sample" else {},
-            cv_unnormalized=scores if estimator == "unnormalized" else {},
-            ranking=rank_by_score(scores),
-        )
+        return cls(estimator="sample", cv_sample=scores, cv_unnormalized={},
+                   ranking=rank_by_score(scores))
 
 
 def coefficient_of_variation(values: Sequence[float], estimator: str = "sample") -> float:

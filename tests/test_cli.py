@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -159,6 +160,44 @@ class TestAnalyze:
             "so their output files collide on case-insensitive file systems\n"
         )
         assert not out.exists()
+
+    def test_unordered_periods_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "unordered.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"{p},{u},{i},x{i},{10 * i + u}\n"
+                      for p in ("2021", "2020") for u in (1, 2, 3) for i in (1, 2))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: period 2020: period labels not strictly increasing ('2021' then '2020')\n"
+        )
+        assert not out.exists()
+
+    def test_one_group_table_exits_1(self, panel_csv, tmp_path, capsys):
+        grouped = tmp_path / "grouped.csv"
+        grouped.write_text("indicator_id,group,value\n1,A,3\n2,A,4\n")
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(panel_csv), "--grouped", str(grouped),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least 2 groups\n"
+        assert not out.exists()
+
+    def test_volume_just_below_double_range_is_a_number(self, tmp_path):
+        # 100**154 = 1e308: its log, 709.196, is under ln(DBL_MAX) = 709.78
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"2020,{u},{i},x{i},{100 * (u == 'b')}\n"
+                      for u in "ab" for i in range(1, 155))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        (record,) = json.loads((out / "report.json").read_text())["periods"]
+        assert record["log_volume"] == pytest.approx(154 * math.log(100), rel=1e-15)
+        assert record["volume"] == pytest.approx(1e308, rel=1e-12)
 
     def test_bad_flag_policy_writes_nothing(self, panel_csv, grouped_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -375,6 +414,21 @@ class TestAnalyze:
                  for p in out.rglob("*") if p.is_file()}
         assert len(modes) == 14
         assert modes == dict.fromkeys(modes, mode)
+
+    def test_run_leaves_the_umask_alone(self, panel_csv, grouped_csv, tmp_path, monkeypatch):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        out = tmp_path / "out"
+
+        def refuse(*args):
+            raise AssertionError("the process umask and file modes are the kernel's")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        monkeypatch.setattr(os, "chmod", refuse)
+        assert main(["analyze", "--input", str(panel_csv), "--grouped", str(grouped_csv),
+                     "--plots", "--out", str(out / "analyze")]) == 0
+        assert main(["synth", "--config", str(config), "--out", str(out / "synth")]) == 0
+        assert len([p for p in out.rglob("*") if p.is_file()]) == 14
 
 
 class TestWriteErrors:

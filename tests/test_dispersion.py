@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -338,6 +339,14 @@ class TestBoundingVolume:
         summary = dispersion_summary(s)
         assert summary.volume == math.inf
         assert summary.log_volume == pytest.approx(200 * math.log(90.0), rel=1e-12)
+
+    def test_volume_just_below_double_range(self):
+        # 100**154 = 1e308 has a log volume of 709.196, under ln(DBL_MAX) = 709.78
+        matrix = np.vstack([np.zeros(154), np.full(154, 100.0)])
+        s = am.PeriodSlice("p", ("a", "b"), tuple(range(1, 155)), matrix)
+        summary = dispersion_summary(s)
+        assert 709 < summary.log_volume < math.log(sys.float_info.max)
+        assert summary.volume == pytest.approx(oracle_volume(matrix.tolist()), rel=1e-12)
 
     def test_log_volume_consistent(self, panel):
         s = am.slice_period(panel, "2009-08")

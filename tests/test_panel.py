@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import adaptometry as am
-from adaptometry.panel import PanelError
+from adaptometry.panel import PanelError, period_label_errors
 
 MINIMAL = "period,unit,indicator_id,indicator_name,value\n2009-08,West,1,economic regress,54\n"
 
@@ -216,6 +216,20 @@ class TestValidate:
         )
         report = am.validate(bad)
         assert any("increasing" in msg for _, msg in report.errors)
+
+    def test_period_label_errors_file_names_then_order(self):
+        # the file-name and case errors in label order, then the order errors
+        labels = ("p2", "p1", "P2")
+        p = small_panel(n_periods=3)
+        errors = [
+            ("period 'P2'", "period labels 'p2' and 'P2' differ only in case, so their "
+                            "output files collide on case-insensitive file systems"),
+            ("period p1", "period labels not strictly increasing ('p2' then 'p1')"),
+            ("period P2", "period labels not strictly increasing ('p1' then 'P2')"),
+        ]
+        assert period_label_errors(labels) == errors
+        panel = am.IndicatorPanel(labels, p.units, p.indicators, p.values)
+        assert am.validate(panel).errors == errors
 
     def test_single_unit_is_error(self):
         report = am.validate(am.parse_panel(MINIMAL))

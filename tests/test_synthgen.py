@@ -148,8 +148,10 @@ _FILE_NAME_RULE = (
     "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL"
 )
 
-# Period labels analyze refuses, in strictly increasing order, and the one
-# error line synth gives for them
+_ORDER_RULE = "period labels not strictly increasing"
+
+# Period labels analyze refuses, and the one error line synth gives for them:
+# the first of period_label_errors, which lists the file-name errors first
 BAD_LABELS = {
     "empty": (("", "z"), f"period '': {_FILE_NAME_RULE}"),
     "dot": ((".", "z"), f"period '.': {_FILE_NAME_RULE}"),
@@ -160,6 +162,11 @@ BAD_LABELS = {
     "two bad": (("", "a/b"), f"period '': {_FILE_NAME_RULE}"),
     "case": (("A", "a"), "period 'a': period labels 'A' and 'a' differ only in case, so their "
                          "output files collide on case-insensitive file systems"),
+    "unordered": (("2020-02", "2020-01"),
+                  f"period 2020-01: {_ORDER_RULE} ('2020-02' then '2020-01')"),
+    "duplicate": (("2020-01", "2020-01"),
+                  f"period 2020-01: {_ORDER_RULE} ('2020-01' then '2020-01')"),
+    "empty and unordered": (("z", ""), f"period '': {_FILE_NAME_RULE}"),
 }
 
 

@@ -166,6 +166,7 @@ GROUPED_ERRORS = {
     "field count": (GROUPED_HEADER + "1,a,3,4\n", "expected 3 fields, got ['1', 'a', '3', '4']"),
     "value": (GROUPED_HEADER + "1,g1,abc\n", "bad row ['1', 'g1', 'abc']"),
     "duplicate": (GROUPED_HEADER + "1,a,3\n1,a,4\n", "duplicate cell (1, 'a')"),
+    "one group": (GROUPED_HEADER + "1,a,3\n2,a,4\n", "need at least 2 groups"),
     "open quote ends with its line": (
         GROUPED_HEADER + '1,"a,3\n2,b,4\n3,c,5\n', "expected 3 fields, got ['1', 'a,3']"
     ),
