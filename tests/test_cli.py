@@ -196,7 +196,7 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
         (record,) = json.loads((out / "report.json").read_text())["periods"]
-        assert record["log_volume"] == pytest.approx(154 * math.log(100), rel=1e-15)
+        assert record["log_volume"] == pytest.approx(154 * math.log(100), rel=1e-12)
         assert record["volume"] == pytest.approx(1e308, rel=1e-12)
 
     def test_bad_flag_policy_writes_nothing(self, panel_csv, grouped_csv, tmp_path, capsys):
