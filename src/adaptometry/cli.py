@@ -20,11 +20,13 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .analysis import PeriodResult, analyze
-from .correlation import DEFAULT_THRESHOLD, CorrelationNetwork
+from .correlation import DEFAULT_THRESHOLD
 from .panel import PanelError, panel_csv_chunks, parse_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
@@ -36,6 +38,11 @@ from .variation import (
     variation_table,
 )
 from .writers import blocks, csv_field, float_reprs, matrix_csv_chunks
+
+
+# what report.json reads of a period's network: its matrix's indicator ids
+# and its edge_a, edge_b and edge_weight arrays
+Edges = tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray]
 
 
 class UsageError(ValueError):
@@ -119,20 +126,22 @@ def _run_analyze(args) -> None:
             _err(f"warning: indicator {ind_id}: {msg}")
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
     # each period's CSVs are written as soon as it is done; only its record
-    # and its network outlive it, for the report and the plots
+    # and its edge arrays outlive it, for the report and the plots
     records: list[dict] = []
-    networks: list[CorrelationNetwork] = []
+    edges: list[Edges] = []
     units = [csv_field(unit) for unit in panel.units]
     for result in analyze(panel, args.threshold, exclude):
         name = f"{result.period}.csv"
-        ids = [str(i) for i in result.network.matrix.indicator_ids]
+        net = result.network
+        ids = [str(i) for i in net.matrix.indicator_ids]
         _write(os.path.join(args.out, "matrices", name),
-               matrix_csv_chunks("indicator_id", ids, result.network.matrix.values))
+               matrix_csv_chunks("indicator_id", ids, net.matrix.values))
         _write(os.path.join(args.out, "distances", name),
                matrix_csv_chunks("unit", units, result.dispersion.distance_matrix))
         records.append(_period_record(result))
-        networks.append(result.network)
-        del result  # else its distance matrix lives on while the next period's is built
+        edges.append((net.matrix.indicator_ids, net.edge_a, net.edge_b, net.edge_weight))
+        # else this period's matrices live on while the next period's are built
+        del result, net
     if grouped_raw is not None:
         _write(os.path.join(args.out, "variation.csv"), (profile_to_csv(profile, flagged),))
 
@@ -149,7 +158,7 @@ def _run_analyze(args) -> None:
         },
         "periods": records,
     }
-    _write(os.path.join(args.out, "report.json"), _report_json(doc, networks))
+    _write(os.path.join(args.out, "report.json"), _report_json(doc, edges))
 
     if args.plots:
         from .plots import line_chart
@@ -190,9 +199,9 @@ def _period_record(result: PeriodResult) -> dict:
     }
 
 
-def _report_json(doc: dict, networks: Iterable[CorrelationNetwork]) -> Iterator[str]:
+def _report_json(doc: dict, edges: Iterable[Edges]) -> Iterator[str]:
     """``json.dumps(doc, indent=2) + "\\n"`` in pieces, with the edges of each
-    period record, the network at its position in ``networks``.
+    period record, the edge arrays at its position in ``edges``.
 
     ``json`` encodes with ``indent`` in pure Python, which on a report of
     many edges takes most of the run, so the edge lists are formatted here,
@@ -202,32 +211,34 @@ def _report_json(doc: dict, networks: Iterable[CorrelationNetwork]) -> Iterator[
     # each occurrence is the "edges" key of one period record
     head, *tails = json.dumps(doc, indent=2).split('"edges": []')
     yield head
-    for net, tail in zip(networks, tails, strict=True):
-        yield from _edges_json(net)
+    for period_edges, tail in zip(edges, tails, strict=True):
+        yield from _edges_json(*period_edges)
         yield tail
     yield "\n"
 
 
-def _edges_json(net: CorrelationNetwork) -> Iterator[str]:
+def _edges_json(
+    ids: Sequence[int], edge_a: np.ndarray, edge_b: np.ndarray, edge_weight: np.ndarray
+) -> Iterator[str]:
     """The "edges" entry of a period record as json.dumps(doc, indent=2) writes
-    it, in pieces of one block of edges (writers.blocks): json renders an int
-    with int.__repr__ and a finite float with float.__repr__, and edge weights
-    are finite because correlations are clipped to [-1, 1]. float_reprs gives
+    it, from a network's edge arrays and its matrix's indicator ids, in pieces
+    of one block of edges (writers.blocks): json renders an int with
+    int.__repr__ and a finite float with float.__repr__, and edge weights are
+    finite because correlations are clipped to [-1, 1]. float_reprs gives
     float.__repr__ of each weight (numpy digits from 1e-2 up, repr below), not
     the repr of numpy scalars, which differs."""
-    k = net.edge_weight.size
+    k = edge_weight.size
     if not k:
         yield '"edges": []'
         return
-    ids = net.matrix.indicator_ids
     i_texts = [f'\n        {{\n          "i": {i},\n          "j": ' for i in ids]
     j_texts = [f'{j},\n          "abs_r": ' for j in ids]
     yield '"edges": ['
     for block in blocks(k, 1):
-        weights = net.edge_weight[block]
+        weights = edge_weight[block]
         texts = ["\n        },"] * (4 * weights.size)  # each fourth text closes an edge
-        texts[0::4] = map(i_texts.__getitem__, net.edge_a[block].tolist())
-        texts[1::4] = map(j_texts.__getitem__, net.edge_b[block].tolist())
+        texts[0::4] = map(i_texts.__getitem__, edge_a[block].tolist())
+        texts[1::4] = map(j_texts.__getitem__, edge_b[block].tolist())
         texts[2::4] = float_reprs(weights)
         if block.stop >= k:
             texts[-1] = "\n        }\n      ]"

@@ -399,7 +399,7 @@ def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
     for a, b in zip(periods, periods[1:]):
         if not a < b:
             errors.append(
-                (f"period {b}", f"period labels not strictly increasing ({a!r} then {b!r})")
+                (f"period {b!r}", f"period labels not strictly increasing ({a!r} then {b!r})")
             )
     return errors
 

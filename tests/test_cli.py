@@ -8,6 +8,7 @@ import re
 import stat
 import sys
 import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -171,7 +172,24 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: period 2020: period labels not strictly increasing ('2021' then '2020')\n"
+            "error: period '2020': period labels not strictly increasing ('2021' then '2020')\n"
+        )
+        assert not out.exists()
+
+    def test_empty_period_out_of_order_names_it_quoted(self, tmp_path, capsys):
+        # both errors locate the empty label as '': the file-name rule, then the order
+        bad = tmp_path / "empty.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"{p},{u},{i},x{i},{10 * i + u}\n"
+                      for p in ("z", "") for u in (1, 2, 3) for i in (1, 2))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: period '': period labels name output files: not empty, '.' or '..', "
+            "no '/', '\\' or NUL\n"
+            "error: period '': period labels not strictly increasing ('z' then '')\n"
         )
         assert not out.exists()
 
@@ -553,6 +571,28 @@ class TestMemory:
                 tracemalloc.stop()
         assert growth["four"] < growth["first"] + m * m * 8
 
+    def test_report_outlives_every_correlation_matrix(self, panel_csv, tmp_path, monkeypatch):
+        # report.json reads each period's edge arrays, so no period's n x n
+        # matrix is alive when it is written
+        analyze, write = cli_module.analyze, cli_module._write
+        matrices = []
+        alive_at_report = []
+
+        def traced(*args):
+            for result in analyze(*args):
+                matrices.append(weakref.ref(result.network.matrix.values))
+                yield result
+
+        def traced_write(path, chunks):
+            if os.path.basename(path) == "report.json":
+                alive_at_report.append([ref() is not None for ref in matrices])
+            write(path, chunks)
+
+        monkeypatch.setattr(cli_module, "analyze", traced)
+        monkeypatch.setattr(cli_module, "_write", traced_write)
+        assert main(["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "out")]) == 0
+        assert alive_at_report == [[False] * 4]
+
 
 def _old_report_json(doc: dict, results) -> str:
     """The report.json writer before edges were formatted by hand: the reference."""
@@ -566,6 +606,12 @@ def _doc(results, **metadata) -> dict:
     return {"metadata": metadata, "periods": [_period_record(r) for r in results]}
 
 
+def _edges(results) -> list:
+    """What _report_json reads of each result: the edge arrays the CLI keeps."""
+    return [(r.network.matrix.indicator_ids, r.network.edge_a, r.network.edge_b,
+             r.network.edge_weight) for r in results]
+
+
 def _report(doc: dict, results) -> str:
     """The text _report_json writes in pieces for these results, which must
     not depend on the edges per piece: the default, and 1, 2 and 3, which
@@ -573,7 +619,7 @@ def _report(doc: dict, results) -> str:
     texts = set()
     for block in (writers._FORMAT_BLOCK_ELEMENTS, 1, 2, 3):
         with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
-            texts.add("".join(_report_json(doc, [r.network for r in results])))
+            texts.add("".join(_report_json(doc, _edges(results))))
     assert len(texts) == 1
     return texts.pop()
 
@@ -630,7 +676,7 @@ class TestReportJson:
         results = list(am.analyze(_panel(("p",), values[None]), 0.7))
         assert results[0].network.edge_weight.size == 17955 > writers._FORMAT_BLOCK_ELEMENTS
         doc = _doc(results, threshold=0.7)
-        text = "".join(_report_json(doc, [r.network for r in results]))
+        text = "".join(_report_json(doc, _edges(results)))
         assert text == _old_report_json(doc, results)
 
     def test_report_builds_no_edge_tuples(self, panel):

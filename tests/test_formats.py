@@ -438,7 +438,10 @@ def test_one_block_size_cuts_every_chunked_writer(block):
                                              results[0].network.matrix.values)),
             "distances": list(matrix_csv_chunks("unit", units,
                                                 results[0].dispersion.distance_matrix)),
-            "report.json": list(_report_json(doc, [r.network for r in results])),
+            "report.json": list(_report_json(doc, [
+                (r.network.matrix.indicator_ids, r.network.edge_a, r.network.edge_b,
+                 r.network.edge_weight) for r in results
+            ])),
         }
 
     default = pieces()

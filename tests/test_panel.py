@@ -224,8 +224,8 @@ class TestValidate:
         errors = [
             ("period 'P2'", "period labels 'p2' and 'P2' differ only in case, so their "
                             "output files collide on case-insensitive file systems"),
-            ("period p1", "period labels not strictly increasing ('p2' then 'p1')"),
-            ("period P2", "period labels not strictly increasing ('p1' then 'P2')"),
+            ("period 'p1'", "period labels not strictly increasing ('p2' then 'p1')"),
+            ("period 'P2'", "period labels not strictly increasing ('p1' then 'P2')"),
         ]
         assert period_label_errors(labels) == errors
         panel = am.IndicatorPanel(labels, p.units, p.indicators, p.values)

@@ -1,8 +1,19 @@
-"""SVG line charts: rejected inputs, and the layout where the axes degenerate."""
+"""SVG line charts: rejected inputs, the layout where the axes degenerate,
+and text escaping without the xml.sax import chain."""
+
+import os
+import pathlib
+import subprocess
+import sys
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from adaptometry.plots import line_chart
+from adaptometry.plots import escape, line_chart
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("x_labels,series,message", [
@@ -24,3 +35,24 @@ def test_rejected(x_labels, series, message):
 ], ids=["flat series", "one x label"])
 def test_degenerate_axes(x_labels, series, points):
     assert f'<polyline points="{points}"' in line_chart(x_labels, series, "title", "y")
+
+
+@given(st.text())
+def test_escape_is_saxutils_escape(text):
+    assert escape.__module__ == "adaptometry.plots"  # its own helper, not the import
+    assert escape(text) == sax_escape(text)
+
+
+def test_import_loads_no_network_or_xml_modules():
+    # xml.sax.saxutils imports urllib.request, which loads http.client,
+    # email and ssl; a fresh interpreter shows what the import itself loads
+    code = (
+        "import sys\n"
+        "import adaptometry.cli, adaptometry.plots\n"
+        "names = ('ssl', 'urllib.request', 'http.client', 'email', 'xml.sax')\n"
+        "print(' '.join(n for n in names if n in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "\n"

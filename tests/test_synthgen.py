@@ -163,9 +163,9 @@ BAD_LABELS = {
     "case": (("A", "a"), "period 'a': period labels 'A' and 'a' differ only in case, so their "
                          "output files collide on case-insensitive file systems"),
     "unordered": (("2020-02", "2020-01"),
-                  f"period 2020-01: {_ORDER_RULE} ('2020-02' then '2020-01')"),
+                  f"period '2020-01': {_ORDER_RULE} ('2020-02' then '2020-01')"),
     "duplicate": (("2020-01", "2020-01"),
-                  f"period 2020-01: {_ORDER_RULE} ('2020-01' then '2020-01')"),
+                  f"period '2020-01': {_ORDER_RULE} ('2020-01' then '2020-01')"),
     "empty and unordered": (("z", ""), f"period '': {_FILE_NAME_RULE}"),
 }
 
