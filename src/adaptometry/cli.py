@@ -273,20 +273,19 @@ def _parse_id_list(spec: str) -> set[int]:
 
 
 def _read_file(path: str) -> str:
-    """Text with universal newlines, with at most two copies of it held at once."""
+    """Text with universal newlines and no leading byte-order mark, with at
+    most two copies of it held at once."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()  # decodes the whole file at once: offsets are the file's
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PanelError(
             f"cannot read {path}: not UTF-8 text "
-            f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
+            f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
         ) from None
-    del data
+    text = text.removeprefix("\ufeff")
     text = text.replace("\r\n", "\n")
     text = text.replace("\r", "\n")
     return text

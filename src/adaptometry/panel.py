@@ -51,11 +51,10 @@ class IndicatorPanel:
     values: np.ndarray  # shape (n_periods, n_units, n_indicators)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float, order="C")
         expected = (len(self.periods), len(self.units), len(self.indicators))
         if arr.shape != expected:
             raise PanelError(f"values shape {arr.shape} != {expected}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -176,10 +176,12 @@ def parse_synth_config(text: str) -> SynthConfig:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise SynthConfigError(f"line {lineno}: expected key = value")
-        raw[key.strip()] = value.strip()
+        if key in raw:
+            raise SynthConfigError(f"line {lineno}: duplicate config key {key!r}")
+        raw[key] = value
     required = {f.name for f in fields(SynthConfig)}
     missing = required - raw.keys()
     if missing:

@@ -14,7 +14,6 @@ dataset are closer to this variant.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -36,7 +35,7 @@ class GroupedIndicatorTable:
     values: np.ndarray  # (n, L)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float, order="C")
         if arr.shape != (len(self.indicator_ids), len(self.groups)):
             raise VariationError(
                 f"values shape {arr.shape} != "
@@ -46,7 +45,6 @@ class GroupedIndicatorTable:
             raise VariationError("need at least 2 groups")
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise VariationError("values must be finite and >= 0")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -92,13 +90,21 @@ def coefficient_of_variation(values: Sequence[float], estimator: str = "sample")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise VariationError("need at least 2 values")
-    mean = float(x.mean())
-    if mean <= 0.0:
-        raise VariationError(f"mean {mean} <= 0, CV undefined")
-    ss = float(((x - mean) ** 2).sum())
+    (cv,), (error,) = _row_cvs(x[None], estimator)
+    if error:
+        raise VariationError(error)
+    return cv
+
+
+def _row_cvs(rows: np.ndarray, estimator: str) -> tuple[list[float], list[str | None]]:
+    """Each row's CV, and None or why it is undefined (a mean <= 0)."""
+    mean = rows.mean(axis=1)
+    ss = ((rows - mean[:, None]) ** 2).sum(axis=1)
     if estimator == "sample":
-        ss /= x.size - 1
-    return math.sqrt(ss) / mean
+        ss /= rows.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore"):  # a mean of 0 is an error
+        cvs = (np.sqrt(ss) / mean).tolist()
+    return cvs, [f"mean {m} <= 0, CV undefined" if m <= 0.0 else None for m in mean.tolist()]
 
 
 def rank_by_score(scores: Mapping[int, float]) -> tuple[int, ...]:
@@ -112,23 +118,16 @@ def variation_table(
     """CV per indicator over the group columns, both estimators, ranked."""
     if estimator not in ESTIMATORS:
         raise VariationError(f"unknown estimator {estimator!r}")
-    cv_sample: dict[int, float] = {}
-    cv_unnorm: dict[int, float] = {}
-    errors: list[tuple[int, str]] = []
-    for idx, ind_id in enumerate(table.indicator_ids):
-        row = table.values[idx]
-        try:
-            cv_sample[ind_id] = coefficient_of_variation(row, "sample")
-            cv_unnorm[ind_id] = coefficient_of_variation(row, "unnormalized")
-        except VariationError as exc:
-            errors.append((ind_id, str(exc)))
+    sample, errors = _row_cvs(table.values, "sample")
+    unnormalized, _ = _row_cvs(table.values, "unnormalized")
+    ids = table.indicator_ids
+    cv_sample = {i: cv for i, cv, e in zip(ids, sample, errors) if e is None}
+    cv_unnorm = {i: cv for i, cv, e in zip(ids, unnormalized, errors) if e is None}
     selected = cv_sample if estimator == "sample" else cv_unnorm
     return VariationProfile(
-        estimator=estimator,
-        cv_sample=cv_sample,
-        cv_unnormalized=cv_unnorm,
+        estimator=estimator, cv_sample=cv_sample, cv_unnormalized=cv_unnorm,
         ranking=rank_by_score(selected),
-        errors=errors,
+        errors=[(i, e) for i, e in zip(ids, errors) if e is not None],
     )
 
 
@@ -139,26 +138,21 @@ def flag_exclusions(profile: VariationProfile, policy: str) -> set[int]:
     (all ids with CV strictly above T).
     """
     kind, _, arg = policy.partition(":")
+    read = {"topk": int, "threshold": float}.get(kind)
+    if read is None:
+        raise VariationError(f"unknown flag policy {policy!r}")
+    try:
+        n = read(arg)
+    except ValueError:
+        raise VariationError(f"bad {kind} policy {policy!r}") from None
     if kind == "topk":
-        try:
-            k = int(arg)
-        except ValueError:
-            raise VariationError(f"bad topk policy {policy!r}") from None
-        if k < 0 or k > len(profile.ranking):
-            raise VariationError(
-                f"topk k={k} outside [0, {len(profile.ranking)}]"
-            )
-        return set(profile.ranking[:k])
-    if kind == "threshold":
-        try:
-            t = float(arg)
-        except ValueError:
-            raise VariationError(f"bad threshold policy {policy!r}") from None
-        if not t >= 0:  # written so that NaN fails it
-            raise VariationError(f"threshold t={t} must be >= 0")
-        scores = profile.selected
-        return {i for i in profile.ranking if scores[i] > t}
-    raise VariationError(f"unknown flag policy {policy!r}")
+        if n < 0 or n > len(profile.ranking):
+            raise VariationError(f"topk k={n} outside [0, {len(profile.ranking)}]")
+        return set(profile.ranking[:n])
+    if not n >= 0:  # written so that NaN fails it
+        raise VariationError(f"threshold t={n} must be >= 0")
+    scores = profile.selected
+    return {i for i in profile.ranking if scores[i] > n}
 
 
 def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
@@ -180,9 +174,9 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
     if tuple(h.strip() for h in header) != ("indicator_id", "group", "value"):
         raise VariationError(f"malformed header {header!r}")
     cells: dict[tuple[int, str], float] = {}
-    ids: dict[int, int] = {}
-    groups: dict[str, int] = {}
     for row in rows[1:]:
+        if not "".join(row).strip():  # a blank row, as parse_panel skips
+            continue
         if len(row) != 3:
             raise VariationError(f"expected 3 fields, got {row!r}")
         try:
@@ -190,15 +184,14 @@ def parse_grouped_table(csv_text: str) -> GroupedIndicatorTable:
             value = float(row[2])
         except ValueError:
             raise VariationError(f"bad row {row!r}") from None
-        group = row[1].strip()
-        ids.setdefault(ind_id, len(ids))
-        groups.setdefault(group, len(groups))
-        key = (ind_id, group)
+        key = (ind_id, row[1].strip())
         if key in cells:
             raise VariationError(f"duplicate cell {key}")
         cells[key] = value
     if not cells:
         raise VariationError("no data rows")
+    ids = dict.fromkeys(i for i, _ in cells)  # first-appearance order
+    groups = dict.fromkeys(g for _, g in cells)
     try:
         values = np.array([[cells[(i, g)] for g in groups] for i in ids])
     except KeyError as exc:

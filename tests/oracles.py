@@ -6,6 +6,9 @@ Python loops, and the ball diameter from non-log arithmetic with the exact
 half-integer gamma product. The panel oracle reads a file one line at a
 time, keeping each cell in a dict. The stress-contrast oracle is the one
 exception: it is the full ``analyze`` path that ``stress_contrast`` skips.
+Two CV oracles: ``oracle_cv`` in plain Python, equal to the library's within
+rounding, and ``oracle_cv_rowwise``, numpy on one 1-D row at a time, equal
+to it bit for bit.
 """
 
 import csv
@@ -102,6 +105,19 @@ def oracle_cv(values, estimator: str) -> float:
     ss = sum((v - mean) ** 2 for v in values)
     if estimator == "sample":
         ss /= len(values) - 1
+    return math.sqrt(ss) / mean
+
+
+def oracle_cv_rowwise(values, estimator: str) -> float:
+    """One row's CV by numpy, one 1-D row at a time: the bitwise reference for
+    the library's array pass. Raises ValueError where the CV is undefined."""
+    x = np.asarray(values, dtype=float)
+    mean = float(x.mean())
+    if mean <= 0.0:
+        raise ValueError(f"mean {mean} <= 0, CV undefined")
+    ss = float(((x - mean) ** 2).sum())
+    if estimator == "sample":
+        ss /= x.size - 1
     return math.sqrt(ss) / mean
 
 

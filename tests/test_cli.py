@@ -41,6 +41,17 @@ def _mask_timestamp(report: str) -> str:
     return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', report)
 
 
+def _assert_same_outputs(a: pathlib.Path, b: pathlib.Path) -> None:
+    """The same files under ``a`` and ``b``, byte for byte, ``generated_at`` aside."""
+    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for name in names:
+        got, expected = (b / name).read_text(), (a / name).read_text()
+        if name.name == "report.json":
+            got, expected = _mask_timestamp(got), _mask_timestamp(expected)
+        assert got == expected, name
+
+
 @pytest.fixture
 def panel_csv(tmp_path, panel_text):
     path = tmp_path / "panel.csv"
@@ -250,6 +261,40 @@ class TestAnalyze:
             f"error: cannot read {bad}: not UTF-8 text (byte 0xff at offset {data.index(0xff)})\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_byte_offset_counts_from_the_file_start(self, tmp_path, capsys, bom):
+        # past the first 8 KiB that a buffered text read decodes first
+        data = bom + b"period,unit,indicator_id,indicator_name,value\n" + b"2020,A,1,a,10\n" * 1000
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data[:9000] + b"\xff" + data[9000:])
+        assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: not UTF-8 text (byte 0xff at offset 9000)\n"
+        )
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export starts a file with U+FEFF
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name in ("ukraine_fears_panel.csv", "political_groups.csv"):
+            (bom / name).write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        for src, out in ((DATA, tmp_path / "out"), (bom, tmp_path / "bom-out")):
+            assert main(["analyze", "--input", str(src / "ukraine_fears_panel.csv"),
+                         "--grouped", str(src / "political_groups.csv"), "--exclude", "17,19",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _assert_same_outputs(tmp_path / "out", tmp_path / "bom-out")
+
+    def test_blank_grouped_rows_are_skipped(self, panel_csv, tmp_path):
+        lines = (DATA / "political_groups.csv").read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines[:5] + [",,\n"] + lines[5:] + [",,\n", " , ,\n"]))
+        for grouped, out in ((DATA / "political_groups.csv", "out"), (blank, "blank-out")):
+            assert main(["analyze", "--input", str(panel_csv), "--grouped", str(grouped),
+                         "--out", str(tmp_path / out)]) == 0
+        variation = [(tmp_path / out / "variation.csv").read_text() for out in ("out", "blank-out")]
+        assert variation[0] == variation[1]
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_newlines_read_as_in_text_mode(self, panel_csv, panel_text, tmp_path, newline):
@@ -788,6 +833,22 @@ class TestSynth:
             f"error: cannot read {config}: not UTF-8 text (byte 0xff at offset 9)\n"
         )
         assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        config, bom = tmp_path / "synth.cfg", tmp_path / "bom.cfg"
+        config.write_text(SYNTH_CONFIG)
+        bom.write_text("\ufeff" + SYNTH_CONFIG, encoding="utf-8")
+        for path, out in ((config, "o"), (bom, "bom-o")):
+            assert main(["synth", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        _assert_same_outputs(tmp_path / "o", tmp_path / "bom-o")
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG + "units = 7\n")
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 10: duplicate config key 'units'\n"
+        assert not out.exists()
 
     def test_oversized_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"

@@ -118,6 +118,13 @@ seed = 1
         with pytest.raises(SynthConfigError, match="unknown"):
             parse_synth_config(self.TEXT + "extra = 1\n")
 
+    @pytest.mark.parametrize("line", ["units = 7", "units=50", "  units = 50  # again"])
+    def test_repeated_key(self, line):
+        # the earlier value is not silently replaced, even by an equal one
+        with pytest.raises(SynthConfigError) as info:
+            parse_synth_config(self.TEXT + line + "\n")
+        assert str(info.value) == "line 11: duplicate config key 'units'"
+
     @pytest.mark.parametrize("edits,message", [
         ({"2020-01:baseline": "2020-01"}, "bad period token '2020-01', expected label:regime"),
         ({"means = 50": "means = 50, high"}, "bad baseline_means '50, high'"),

@@ -2,18 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry.variation import (
+    ESTIMATORS,
     VariationError,
     VariationProfile,
     parse_grouped_table,
     profile_to_csv,
     rank_by_score,
 )
-from oracles import oracle_cv
+from oracles import oracle_cv, oracle_cv_rowwise
 
 FEAR4_BY_PARTY = (32, 30, 23, 10, 25, 29, 26)
+
+# rows of a grouped table, by rng and length
+ROW_KINDS = {
+    "zeros": lambda rng, n: np.zeros(n),
+    "one decimal": lambda rng, n: rng.integers(0, 1001, n) / 10,
+    "constant": lambda rng, n: np.full(n, rng.integers(1, 1001) / 10),
+    "uniform": lambda rng, n: rng.uniform(0, 100, n),
+    "squares underflow": lambda rng, n: rng.uniform(0, 1e-160, n),
+    "mean underflows to 0": lambda rng, n: rng.choice([0.0, 5e-324], n),
+}
 
 
 class TestCoefficientOfVariation:
@@ -106,6 +119,40 @@ class TestVariationTable:
         assert profile.ranking == (2,)
         assert profile.errors and profile.errors[0][0] == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(groups=st.integers(2, 300),
+           kinds=st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), order=st.sampled_from("CF"))
+    def test_array_pass_equals_rowwise_numpy(self, groups, kinds, seed, order):
+        # 2 to 300 groups cross numpy's pairwise-sum blocks of 8 and 128; the
+        # table holds its values in C order, whatever order it is given
+        rng = np.random.default_rng(seed)
+        table = am.GroupedIndicatorTable(
+            tuple(range(1, len(kinds) + 1)), tuple(f"g{k}" for k in range(groups)),
+            np.array([ROW_KINDS[kind](rng, groups) for kind in kinds], order=order),
+        )
+        expected = {estimator: {} for estimator in ESTIMATORS}
+        errors = []
+        for ind_id, row in zip(table.indicator_ids, table.values):
+            try:
+                for estimator in ESTIMATORS:
+                    expected[estimator][ind_id] = oracle_cv_rowwise(row, estimator)
+                    assert am.coefficient_of_variation(row, estimator) == (
+                        expected[estimator][ind_id]
+                    )
+            except ValueError as exc:
+                errors.append((ind_id, str(exc)))
+                with pytest.raises(VariationError) as info:
+                    am.coefficient_of_variation(row, estimator)
+                assert str(info.value) == str(exc)
+        for estimator in ESTIMATORS:
+            profile = am.variation_table(table, estimator)
+            assert profile.cv_sample == expected["sample"]
+            assert profile.cv_unnormalized == expected["unnormalized"]
+            scores = expected[estimator]
+            assert profile.ranking == tuple(sorted(scores, key=lambda i: (-scores[i], i)))
+            assert profile.errors == errors
+
     def test_ranking_is_descending_with_id_tiebreak(self):
         profile = VariationProfile.from_scores({3: 1.0, 1: 2.0, 2: 1.0, 4: 0.5})
         assert profile.ranking == (1, 2, 3, 4)
@@ -143,7 +190,12 @@ class TestFlagExclusions:
         ("threshold:high", "bad threshold policy 'threshold:high'"),
         ("threshold:-1", "threshold t=-1.0 must be >= 0"),
         ("threshold:nan", "threshold t=nan must be >= 0"),
-    ], ids=["topk not an integer", "threshold not a number", "negative threshold", "nan threshold"])
+        ("best:2", "unknown flag policy 'best:2'"),
+        ("topk", "bad topk policy 'topk'"),
+        ("topk:20", "topk k=20 outside [0, 19]"),
+        ("topk:-1", "topk k=-1 outside [0, 19]"),
+    ], ids=["topk not an integer", "threshold not a number", "negative threshold", "nan threshold",
+            "unknown policy", "topk without k", "topk above count", "negative topk"])
     def test_bad_policy_argument(self, printed_cv, policy, message):
         profile = VariationProfile.from_scores(printed_cv)
         with pytest.raises(VariationError) as info:
@@ -167,6 +219,7 @@ GROUPED_ERRORS = {
     "value": (GROUPED_HEADER + "1,g1,abc\n", "bad row ['1', 'g1', 'abc']"),
     "duplicate": (GROUPED_HEADER + "1,a,3\n1,a,4\n", "duplicate cell (1, 'a')"),
     "one group": (GROUPED_HEADER + "1,a,3\n2,a,4\n", "need at least 2 groups"),
+    "blank rows only": (GROUPED_HEADER + ",,\n , ,\n", "no data rows"),
     "open quote ends with its line": (
         GROUPED_HEADER + '1,"a,3\n2,b,4\n3,c,5\n', "expected 3 fields, got ['1', 'a,3']"
     ),
