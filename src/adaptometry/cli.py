@@ -121,7 +121,11 @@ def _run_analyze(args) -> None:
 
     flagged: list[int] = []
     if grouped_raw is not None:
-        profile = variation_table(parse_grouped_table(grouped_raw), args.cv_estimator)
+        table = parse_grouped_table(grouped_raw)
+        foreign = set(table.indicator_ids) - set(panel.indicator_ids)
+        if foreign:
+            raise VariationError(f"grouped table indicator ids not in panel: {sorted(foreign)}")
+        profile = variation_table(table, args.cv_estimator)
         for ind_id, msg in profile.errors:
             _err(f"warning: indicator {ind_id}: {msg}")
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
@@ -164,24 +168,14 @@ def _run_analyze(args) -> None:
         from .plots import line_chart
 
         labels = [r["period"] for r in records]
-        _write(
-            os.path.join(args.out, "weight.svg"),
-            (line_chart(
-                labels,
-                {"total weight": [r["weight"] for r in records]},
-                "Correlation network total weight by period",
-                "total weight",
-            ),),
-        )
-        _write(
-            os.path.join(args.out, "dispersion.svg"),
-            (line_chart(
-                labels,
-                {"d_max": [r["d_max"] for r in records], "d_min": [r["d_min"] for r in records]},
-                "Dispersion estimates by period",
-                "distance",
-            ),),
-        )
+        for name, title, y_label, series in (
+            ("weight.svg", "Correlation network total weight by period", "total weight",
+             {"total weight": "weight"}),
+            ("dispersion.svg", "Dispersion estimates by period", "distance",
+             {"d_max": "d_max", "d_min": "d_min"}),
+        ):
+            lines = {label: [r[key] for r in records] for label, key in series.items()}
+            _write(os.path.join(args.out, name), (line_chart(labels, lines, title, y_label),))
 
 
 def _period_record(result: PeriodResult) -> dict:

@@ -118,7 +118,10 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     coded arrays are held. An error names the first bad row and, on it, the
     first check that fails, in this order: CSV quoting, field count,
     indicator id, value, range, indicator name, duplicate cell. Each check
-    reads only the rows before the earliest failure found so far.
+    reads only the rows before the earliest failure found so far. With no bad
+    row, a missing cell is named, the first in (period, unit, indicator) order.
+    One stable sort of the rows' cells finds both duplicates and gaps, in
+    memory that follows the rows, not the number of cells their labels span.
     """
     chunks = _line_chunks(csv_text)
     lines, linenos, quoted = next(chunks, ([], (), False))  # every chunk holds a line
@@ -185,34 +188,36 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
         raise PanelError("no data rows")
     p_at, u_at, i_at, value = map(_joined, arrays)
     shape = (len(periods), len(units), len(ind_index))
-    size = shape[0] * shape[1] * shape[2]
-    # the arrays of one entry per row are the largest held: codes are int32, cell
+    # no array holds more entries than the file has rows: codes are int32, cell
     # positions intp; each is built in place, and deleted once read for the last time
-    at = p_at.astype(np.intp)  # the position of each row's cell
+    at = p_at.astype(np.intp)  # the position of each row's cell, in C order
     at *= shape[1]
     at += u_at
     at *= shape[2]
     at += i_at
-    count = np.bincount(at, minlength=size)
-    if (count > 1).any():  # the first row whose cell an earlier row holds
-        seen = np.zeros(at.size, dtype=bool)
-        seen[np.unique(at, return_index=True)[1]] = True
-        k = int(np.argmin(seen))
-        cell = (list(periods)[p_at[k]], list(units)[u_at[k]], list(ind_index)[i_at[k]])
-        raise PanelError(f"row {list(chain.from_iterable(row_nos))[k]}: duplicate cell {cell}")
     del p_at, u_at, i_at
+    order = np.argsort(at, kind="stable")  # rows by cell, those of one cell in file order
+    held = at[order]
+
+    def cell(position):  # the labels of a cell, on an error path only
+        return tuple(list(labels)[i] for labels, i in
+                     zip((periods, units, ind_index), np.unravel_index(position, shape)))
+
+    again = order[1:][held[1:] == held[:-1]]  # the rows whose cell an earlier row holds
+    if again.size:
+        k = int(again.min())
+        row = list(chain.from_iterable(row_nos))[k]
+        raise PanelError(f"row {row}: duplicate cell {cell(at[k])}")
     if error is not None:
         raise PanelError(error)
-    if value.size != size:
-        p_i, u_i, i_i = np.unravel_index(np.argmin(count), shape)  # first gap, C order
-        raise PanelError(
-            f"missing cell (period={list(periods)[p_i]}, unit={list(units)[u_i]}, "
-            f"indicator={list(ind_index)[i_i]})"
-        )
-    del count
-    values = np.empty(size)
-    values[at] = value
-    del at, value
+    del at
+    if value.size != shape[0] * shape[1] * shape[2]:
+        # held rises strictly and held[j] >= j, so the cells j with held[j] == j
+        # are a prefix, and the first gap in C order is their count
+        gap = cell(np.count_nonzero(held == np.arange(held.size)))
+        raise PanelError("missing cell (period={}, unit={}, indicator={})".format(*gap))
+    values = value[order]
+    del held, order, value
     return IndicatorPanel(
         periods=tuple(periods),
         units=tuple(units),

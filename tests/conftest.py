@@ -18,6 +18,15 @@ def panel_text() -> str:
 
 
 @pytest.fixture(scope="session")
+def sparse_panel_text() -> str:
+    """10,000 rows, each with a new period, unit and indicator: 257 KB that
+    span 10**12 cells, so a table of every cell would ask for terabytes."""
+    return "period,unit,indicator_id,indicator_name,value\n" + "".join(
+        f"p{k:05d},u{k},{k},x{k},5\n" for k in range(10_000)
+    )
+
+
+@pytest.fixture(scope="session")
 def panel(panel_text) -> am.IndicatorPanel:
     return am.parse_panel(panel_text)
 

@@ -238,6 +238,29 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: unknown flag policy 'bogus'\n"
         assert not out.exists()
 
+    def test_sparse_panel_exits_1(self, sparse_panel_text, tmp_path, capsys):
+        path = tmp_path / "sparse.csv"
+        path.write_text(sparse_panel_text)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing cell (period=p00000, unit=u0, indicator=1)\n"
+        )
+        assert not out.exists()
+
+    def test_grouped_ids_not_in_panel_exit_1(self, panel_csv, tmp_path, capsys):
+        grouped = tmp_path / "grouped.csv"
+        grouped.write_text("indicator_id,group,value\n101,A,3\n101,B,4\n102,A,5\n102,B,6\n")
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", str(panel_csv), "--grouped", str(grouped), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: grouped table indicator ids not in panel: [101, 102]\n"
+        )
+        assert not out.exists()
+
     def test_bad_grouped_row_writes_nothing(self, panel_csv, tmp_path, capsys):
         grouped = tmp_path / "grouped.csv"
         grouped.write_text("indicator_id,group,value\n1,g1,abc\n")

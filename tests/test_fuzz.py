@@ -104,9 +104,11 @@ VALUES = st.one_of(
 def plain_grids(draw):
     """A panel file as serialize_panel writes one, with at most one defect:
     padded fields, a value that float reads in another form, a renamed
-    indicator, a duplicate or missing cell, or a value out of range; then
-    perhaps decorated with lines the reader skips (comments, blank lines,
-    ``,,,,`` rows) and one quoted field."""
+    indicator, a duplicate or missing cell, a value out of range, or a few
+    rows bringing new labels (sparse, so cells go missing); its rows perhaps
+    shuffled, so duplicates and gaps come out of C order; then perhaps
+    decorated with lines the reader skips (comments, blank lines, ``,,,,``
+    rows) and one quoted field."""
     shape = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)))
     rows = [
         [f"p{p}", f"u{u}", str(i), f"x{i}", draw(VALUES.map(_value_text))]
@@ -114,7 +116,7 @@ def plain_grids(draw):
     ]
     k = draw(st.integers(0, len(rows) - 1))
     defect = draw(st.sampled_from(["none", "pad", "form", "rename", "duplicate", "missing",
-                                   "range"]))
+                                   "range", "sparse"]))
     if defect == "pad":  # in one row, or in every row
         field = draw(st.integers(0, 4))
         pad = draw(st.sampled_from([" ", "\t", "\u3000"]))
@@ -131,6 +133,14 @@ def plain_grids(draw):
         del rows[k]
     elif defect == "range":
         rows[k][4] = draw(st.sampled_from(["-1", "100.5", "nan", "inf", "1e400", "-1e-300"]))
+    elif defect == "sparse":  # each label new or the first one
+        for j in range(draw(st.integers(1, 3))):
+            p = draw(st.sampled_from(["p0", f"p{shape[0] + j}"]))
+            u = draw(st.sampled_from(["u0", f"u{shape[1] + j}"]))
+            i = draw(st.sampled_from([1, shape[2] + 1 + j]))
+            rows.append([p, u, str(i), f"x{i}", "5"])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
     lines = [",".join(row) for row in rows]
     if draw(st.booleans()):
         if rows and draw(st.booleans()):
@@ -173,6 +183,8 @@ PARITY_TEXTS = texts(",".join(CSV_HEADER), 5) | plain_grids()
 @example(text=",".join(CSV_HEADER) + "\na,1,1,x,5,2\n1,1,x,5\n")  # 6 fields, then 4
 @example(text=",".join(CSV_HEADER) + "\na,u,1,x,100.5\na,v,1,x,5\n")
 @example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\n,,,,\na,v,1,x,5\n")
+# indicator 2 comes first in C order, but the first repeat is row 4's, of indicator 1
+@example(text=",".join(CSV_HEADER) + "\na,u,2,B,5\na,u,1,A,5\na,u,1,A,5\na,u,2,B,5\n")
 def test_parse_panel_is_the_line_parser(text):
     _assert_parses_as_oracle(text)
 

@@ -64,6 +64,17 @@ class TestParse:
         with pytest.raises(PanelError, match="missing cell"):
             am.parse_panel(text)
 
+    def test_sparse_labels_hold_memory_by_rows_not_cells(self, sparse_panel_text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PanelError) as exc:
+                am.parse_panel(sparse_panel_text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "missing cell (period=p00000, unit=u0, indicator=1)"
+        assert peak < 32 * 2**20
+
     def test_malformed_header(self):
         with pytest.raises(PanelError, match="header"):
             am.parse_panel("period,unit,value\nx,y,1\n")
