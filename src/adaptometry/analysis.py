@@ -3,8 +3,9 @@ per period.
 
 ``analyze`` walks the periods of a panel for ``weight_series`` below and
 the CLI, which are views over its result. ``synthgen.stress_contrast`` keeps
-its own walk: it needs only each period's total weight and d_max, which it
-computes without the network and the distance matrix that ``analyze`` builds.
+its own walk: it needs only each period's total weight, which it reads from
+the same network, and d_max, which it computes without the distance matrix
+that ``analyze`` builds.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from .variation import (
     ESTIMATORS,
     VariationError,
     flag_exclusions,
+    parse_flag_policy,
     parse_grouped_table,
     profile_to_csv,
     variation_table,
@@ -129,6 +130,8 @@ def _run_analyze(args) -> None:
         for ind_id, msg in profile.errors:
             _err(f"warning: indicator {ind_id}: {msg}")
         flagged = sorted(flag_exclusions(profile, args.flag_policy))
+    else:
+        parse_flag_policy(args.flag_policy)  # a bad policy fails without --grouped too
     # each period's CSVs are written as soon as it is done; only its record
     # and its edge arrays outlive it, for the report and the plots
     records: list[dict] = []

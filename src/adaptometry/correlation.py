@@ -145,8 +145,11 @@ def build_network(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> C
     if not 0.0 < r0 < 1.0:
         raise ValueError(f"threshold {r0} outside (0, 1)")
     ids = matrix.indicator_ids
-    a, b = np.nonzero(_strong_pairs(matrix, r0))  # row-major: the edge order of the report
-    weights = np.abs(matrix.values[a, b])
+    r = matrix.values
+    # |r| > r0 with no (n, n) temporary of |r|, NaN pairs failing both tests;
+    # np.nonzero gives row-major order, the edge order of the report
+    a, b = np.nonzero(np.triu((r > r0) | (r < -r0), k=1))
+    weights = np.abs(r[a, b])
     for array in (a, b, weights):  # edges caches what they hold
         array.flags.writeable = False
     degrees = dict(zip(ids, np.bincount(np.concatenate([a, b]), minlength=matrix.n).tolist()))
@@ -156,27 +159,10 @@ def build_network(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> C
         edge_a=a,
         edge_b=b,
         edge_weight=weights,
-        total_weight=total_weight(matrix, r0),
+        # added left to right in edge order; np.sum adds pairwise, with other last digits
+        total_weight=float(np.add.accumulate(weights)[-1]) if weights.size else 0.0,
         degrees=degrees,
     )
-
-
-def _strong_pairs(matrix: CorrelationMatrix, r0: float) -> np.ndarray:
-    """(n, n) mask of the pairs i < j with |r| > r0; False for undefined
-    (NaN) pairs."""
-    r = matrix.values
-    return np.triu((r > r0) | (r < -r0), k=1)  # no (n, n) temporary of |r|
-
-
-def total_weight(matrix: CorrelationMatrix, r0: float = DEFAULT_THRESHOLD) -> float:
-    """The stress index without the network: build_network(matrix,
-    r0).total_weight, bit for bit, with no edge arrays or degrees built.
-
-    The |r| above r0 are added left to right in the report's row-major edge
-    order; np.sum adds pairwise and changes the last digits.
-    """
-    weights = np.abs(matrix.values[_strong_pairs(matrix, r0)])
-    return float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
 
 
 def degree_counts(

@@ -189,12 +189,8 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     p_at, u_at, i_at, value = map(_joined, arrays)
     shape = (len(periods), len(units), len(ind_index))
     # no array holds more entries than the file has rows: codes are int32, cell
-    # positions intp; each is built in place, and deleted once read for the last time
-    at = p_at.astype(np.intp)  # the position of each row's cell, in C order
-    at *= shape[1]
-    at += u_at
-    at *= shape[2]
-    at += i_at
+    # positions intp; each is deleted once read for the last time
+    at = np.ravel_multi_index((p_at, u_at, i_at), shape)  # each row's cell, in C order
     del p_at, u_at, i_at
     order = np.argsort(at, kind="stable")  # rows by cell, those of one cell in file order
     held = at[order]
@@ -382,9 +378,9 @@ def zero_variance(values: np.ndarray, units_axis: int) -> np.ndarray:
 
 def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
     """(location, message) for each period label that cannot name an output
-    file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, or equal to an
-    earlier label under ``str.casefold``; then one for each label not
-    greater than the one before it."""
+    file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, over 251 bytes
+    of UTF-8, or equal to an earlier label under ``str.casefold``; then one for
+    each label not greater than the one before it."""
     errors = []
     folded: dict[str, str] = {}  # casefolded label -> first label with it
     for period in periods:
@@ -392,6 +388,14 @@ def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
             errors.append((
                 f"period {period!r}",
                 "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL",
+            ))
+        # "<label>.csv" may not exceed 255 bytes, the file-name limit of ext4,
+        # xfs, btrfs and tmpfs
+        if len(period.encode()) > 251:
+            errors.append((
+                f"period {period!r}",
+                "period labels name output files: at most 251 bytes of UTF-8, so that "
+                "'<label>.csv' fits a 255-byte file name",
             ))
         first = folded.setdefault(period.casefold(), period)
         if first != period:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .correlation import correlation_matrix, total_weight
+from .correlation import build_network, correlation_matrix
 from .dispersion import max_distance
 from .panel import Indicator, IndicatorPanel, period_label_errors, slice_period
 
@@ -135,8 +135,8 @@ def stress_contrast(config: SynthConfig) -> StressContrast:
     Returns regime means of the network total weight, at the default
     threshold, and of d_max; requires at least one baseline and one
     stressed period. Each period's two figures equal those of ``analyze``
-    bit for bit, but no network or distance matrix is built: total_weight
-    sums the weights, and max_distance screens the unit pairs.
+    bit for bit: its network is built as ``analyze`` builds it, but no
+    distance matrix is, since max_distance screens the unit pairs.
     """
     regimes = [regime for _, regime in config.periods]
     if "baseline" not in regimes or "stressed" not in regimes:
@@ -146,7 +146,7 @@ def stress_contrast(config: SynthConfig) -> StressContrast:
     panel = generate_panel(config)
     for regime, period in zip(regimes, panel.periods):
         s = slice_period(panel, period)
-        w[regime].append(total_weight(correlation_matrix(s)))
+        w[regime].append(build_network(correlation_matrix(s)).total_weight)
         d[regime].append(max_distance(s))
     return StressContrast(
         w_baseline=float(np.mean(w["baseline"])),
@@ -154,14 +154,6 @@ def stress_contrast(config: SynthConfig) -> StressContrast:
         d_max_baseline=float(np.mean(d["baseline"])),
         d_max_stressed=float(np.mean(d["stressed"])),
     )
-
-
-# The numeric SynthConfig fields and their types, in the order they are
-# read, so the first bad value is the one reported.
-_NUMERIC_KEYS = (
-    ("units", int), ("indicators", int), ("seed", int), ("noise_sd", float),
-    ("loading_baseline", float), ("loading_stressed", float), ("variance_multiplier", float),
-)
 
 
 def parse_synth_config(text: str) -> SynthConfig:
@@ -189,8 +181,12 @@ def parse_synth_config(text: str) -> SynthConfig:
     unknown = raw.keys() - required
     if unknown:
         raise SynthConfigError(f"unknown config keys: {sorted(unknown)}")
+    # the int fields, then the float fields, each in field order: the first
+    # bad value in that order is the one reported
+    hints = get_type_hints(SynthConfig)
     try:
-        numbers = {key: kind(raw[key]) for key, kind in _NUMERIC_KEYS}
+        numbers = {key: kind(raw[key]) for kind in (int, float)
+                   for key, hint in hints.items() if hint is kind}
     except ValueError as exc:
         raise SynthConfigError(f"bad numeric value: {exc}") from None
     periods = []

@@ -131,11 +131,10 @@ def variation_table(
     )
 
 
-def flag_exclusions(profile: VariationProfile, policy: str) -> set[int]:
-    """Indicator ids to exclude under a flagging policy.
+def parse_flag_policy(policy: str) -> tuple[str, int | float]:
+    """The kind and number of a flagging policy, ``topk:K`` or ``threshold:T``.
 
-    ``policy`` is ``topk:K`` (K highest-ranked ids) or ``threshold:T``
-    (all ids with CV strictly above T).
+    Checks all but the range of K, which needs the profile.
     """
     kind, _, arg = policy.partition(":")
     read = {"topk": int, "threshold": float}.get(kind)
@@ -145,12 +144,22 @@ def flag_exclusions(profile: VariationProfile, policy: str) -> set[int]:
         n = read(arg)
     except ValueError:
         raise VariationError(f"bad {kind} policy {policy!r}") from None
+    if kind == "threshold" and not n >= 0:  # written so that NaN fails it
+        raise VariationError(f"threshold t={n} must be >= 0")
+    return kind, n
+
+
+def flag_exclusions(profile: VariationProfile, policy: str) -> set[int]:
+    """Indicator ids to exclude under a flagging policy.
+
+    ``policy`` is ``topk:K`` (K highest-ranked ids) or ``threshold:T``
+    (all ids with CV strictly above T).
+    """
+    kind, n = parse_flag_policy(policy)
     if kind == "topk":
         if n < 0 or n > len(profile.ranking):
             raise VariationError(f"topk k={n} outside [0, {len(profile.ranking)}]")
         return set(profile.ranking[:n])
-    if not n >= 0:  # written so that NaN fails it
-        raise VariationError(f"threshold t={n} must be >= 0")
     scores = profile.selected
     return {i for i in profile.ranking if scores[i] > n}
 

@@ -158,6 +158,21 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.csv"]
 
+    def test_period_label_too_long_for_a_file_name_exits_1(self, tmp_path, capsys):
+        label = "p" * 300
+        bad = tmp_path / "long.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"{label},{u},{i},x{i},{10 * i + u}\n" for u in (1, 2, 3) for i in (1, 2))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: period '{label}': period labels name output files: at most 251 bytes "
+            "of UTF-8, so that '<label>.csv' fits a 255-byte file name\n"
+        )
+        assert not out.exists()
+
     def test_period_labels_equal_but_for_case_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "case.csv"
         bad.write_text(
@@ -236,6 +251,21 @@ class TestAnalyze:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: unknown flag policy 'bogus'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy,message", [
+        ("bogus", "unknown flag policy 'bogus'"),
+        ("topk:x", "bad topk policy 'topk:x'"),
+        ("threshold:-1", "threshold t=-1.0 must be >= 0"),
+    ])
+    def test_bad_flag_policy_without_grouped_writes_nothing(
+        self, panel_csv, tmp_path, capsys, policy, message
+    ):
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(panel_csv), "--flag-policy", policy,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_sparse_panel_exits_1(self, sparse_panel_text, tmp_path, capsys):

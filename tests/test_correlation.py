@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import adaptometry as am
-from adaptometry.correlation import DEFAULT_THRESHOLD, ZeroVarianceError, matrix_to_csv, total_weight
+from adaptometry.correlation import DEFAULT_THRESHOLD, ZeroVarianceError, matrix_to_csv
 from oracles import oracle_pearson, oracle_total_weight
 
 # Computed by the stdlib-statistics brute-force oracle over the 17-indicator
@@ -352,8 +352,8 @@ class TestBuildNetwork:
 
 
 class TestTotalWeight:
-    """total_weight is build_network's total without the network: the edge
-    weights added left to right in edge order."""
+    """build_network's total_weight is its edge weights added left to right
+    in edge order."""
 
     def one_factor_matrix(self, seed, m, n, loading, constant=()):
         rng = np.random.default_rng(seed)
@@ -363,10 +363,10 @@ class TestTotalWeight:
             am.PeriodSlice("p", tuple(range(m)), tuple(range(1, n + 1)), values)
         )
 
-    def check(self, mat, r0):
-        net = am.build_network(mat, r0)
+    def check(self, mat, *r0):
+        net = am.build_network(mat, *r0)
         expected = functools.reduce(operator.add, net.edge_weight.tolist(), 0.0)
-        assert total_weight(mat, r0) == net.total_weight == expected
+        assert net.total_weight == expected
         return net
 
     @pytest.mark.parametrize("seed", range(10))
@@ -379,8 +379,9 @@ class TestTotalWeight:
     @pytest.mark.parametrize("seed", range(5))
     def test_no_pair_above_the_threshold(self, seed):
         mat = self.one_factor_matrix(seed, 200, 12, 0.0, constant=(3,))
-        assert total_weight(mat, 0.5) == 0.0
-        assert not self.check(mat, 0.5).edges
+        net = self.check(mat, 0.5)
+        assert net.total_weight == 0.0
+        assert not net.edges
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_pair_above_the_threshold(self, seed):
@@ -390,7 +391,9 @@ class TestTotalWeight:
 
     def test_default_threshold(self):
         mat = self.one_factor_matrix(0, 40, 20, 1.5)
-        assert total_weight(mat) == am.build_network(mat).total_weight
+        net = self.check(mat)
+        assert net.threshold == DEFAULT_THRESHOLD
+        assert net.total_weight == am.build_network(mat, DEFAULT_THRESHOLD).total_weight
 
 
 class TestDegreeCounts:

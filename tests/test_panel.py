@@ -242,6 +242,21 @@ class TestValidate:
         panel = am.IndicatorPanel(labels, p.units, p.indicators, p.values)
         assert am.validate(panel).errors == errors
 
+    @pytest.mark.parametrize("label,ok", [
+        ("p" * 251, True),
+        ("é" * 125 + "p", True),  # 251 bytes in 126 characters
+        ("p" * 252, False),
+        ("€" * 84, False),  # 252 bytes in 84 characters
+    ], ids=["251 bytes", "251 bytes, two-byte", "252 bytes", "252 bytes, three-byte"])
+    def test_period_label_over_251_bytes_is_error(self, label, ok):
+        # "<label>.csv" must fit the 255-byte file-name limit
+        errors = [] if ok else [(
+            f"period {label!r}",
+            "period labels name output files: at most 251 bytes of UTF-8, so that "
+            "'<label>.csv' fits a 255-byte file name",
+        )]
+        assert period_label_errors([label]) == errors
+
     def test_single_unit_is_error(self):
         report = am.validate(am.parse_panel(MINIMAL))
         assert report.errors == [("units", "need at least 2 units, got 1")]

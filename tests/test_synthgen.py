@@ -174,6 +174,8 @@ BAD_LABELS = {
     "duplicate": (("2020-01", "2020-01"),
                   f"period '2020-01': {_ORDER_RULE} ('2020-01' then '2020-01')"),
     "empty and unordered": (("z", ""), f"period '': {_FILE_NAME_RULE}"),
+    "too long": (("p" * 252, "z"), f"period '{'p' * 252}': period labels name output files: "
+                 "at most 251 bytes of UTF-8, so that '<label>.csv' fits a 255-byte file name"),
 }
 
 
