@@ -116,16 +116,16 @@ def correlation_matrix(slice_: PeriodSlice) -> CorrelationMatrix:
     # power of two to a max |value| in [0.5, 1): squares of tiny or huge
     # values neither underflow nor overflow, and an exact power-of-two factor
     # commutes with every rounding below, so an r that neither did before
-    # keeps every bit
-    _, exponent = np.frexp(np.abs(centered).max(axis=0))
+    # keeps every bit; max |value| is taken with no (m, n) temporary of |value|
+    _, exponent = np.frexp(np.maximum(centered.max(axis=0), -centered.min(axis=0)))
     np.ldexp(centered, -exponent, out=centered)
-    # summed over the C-ordered `centered`: the F-ordered `sub` below sums in
+    # summed over the C-ordered `centered`: an F-ordered `sub` below sums in
     # another order, with other last digits
     ss = (centered * centered).sum(axis=0)
     constant = zero_variance(slice_.matrix, 0)
     values = np.full((n, n), np.nan)
     ok = np.nonzero(~constant)[0]
-    sub = centered[:, ok]
+    sub = centered[:, ok] if ok.size < n else centered  # no copy unless a column is constant
     cov = sub.T @ sub
     norm = np.sqrt(ss[ok])
     corr = cov / np.outer(norm, norm)

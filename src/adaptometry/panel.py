@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .writers import blocks, csv_field, float_reprs
+from .writers import _REPR_PASS, blocks, csv_field, float_reprs
 
 CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 
@@ -43,6 +43,11 @@ class IndicatorPanel:
 
     Values are percentages in [0, 100]. The object is immutable; all
     operations return new panels or views.
+
+    ``values`` becomes a read-only float64 C-order array. One that is already
+    that is kept as it is, uncopied: read-only arrays are taken not to change,
+    as ``values`` itself is. Any other input is copied, so a caller's later
+    writes to a writeable array never reach the panel.
     """
 
     periods: tuple[str, ...]
@@ -51,7 +56,10 @@ class IndicatorPanel:
     values: np.ndarray  # shape (n_periods, n_units, n_indicators)
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, order="C")
+        arr = self.values
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                and arr.flags.c_contiguous and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float, order="C")
         expected = (len(self.periods), len(self.units), len(self.indicators))
         if arr.shape != expected:
             raise PanelError(f"values shape {arr.shape} != {expected}")
@@ -214,6 +222,7 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
         raise PanelError("missing cell (period={}, unit={}, indicator={})".format(*gap))
     values = value[order]
     del held, order, value
+    values.flags.writeable = False  # so the panel keeps it, uncopied
     return IndicatorPanel(
         periods=tuple(periods),
         units=tuple(units),
@@ -321,17 +330,22 @@ def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
 
 def _panel_block(prefixes: list[str], indicators: list[str], block: np.ndarray) -> str:
     """The rows of a units x indicators block, one per cell, each line
-    ``prefix,id,name,value``: four texts per line, joined once."""
-    flat = block.ravel()
-    texts = ["\n"] * (4 * flat.size)
-    texts[0::4] = [prefix for prefix in prefixes for _ in indicators]
-    texts[1::4] = indicators * len(prefixes)
-    texts[2::4] = float_reprs(flat)
-    # float.is_integer, vectorized: finite and integral
-    whole = np.flatnonzero(np.isfinite(flat) & (flat == np.trunc(flat)))
-    for k, v in zip(whole.tolist(), flat[whole].tolist()):
-        texts[4 * k + 2] = str(int(v))
-    return "".join(texts)
+    ``prefix,id,name,value``: four texts per line, joined one pass of whole
+    units (at most _REPR_PASS cells, or one unit) at a time, then the passes
+    joined, so only one pass's texts are held at once."""
+    passes = []
+    for rows in blocks(len(prefixes), len(indicators), _REPR_PASS):
+        flat, heads = block[rows].ravel(), prefixes[rows]
+        texts = ["\n"] * (4 * flat.size)
+        texts[0::4] = [prefix for prefix in heads for _ in indicators]
+        texts[1::4] = indicators * len(heads)
+        texts[2::4] = float_reprs(flat)
+        # float.is_integer, vectorized: finite and integral
+        whole = np.flatnonzero(np.isfinite(flat) & (flat == np.trunc(flat)))
+        for k, v in zip(whole.tolist(), flat[whole].tolist()):
+            texts[4 * k + 2] = str(int(v))
+        passes.append("".join(texts))
+    return "".join(passes)
 
 
 def validate(panel: IndicatorPanel) -> ValidationReport:
@@ -421,11 +435,13 @@ def exclude_indicators(panel: IndicatorPanel, ids: Iterable[int]) -> IndicatorPa
     if unknown:
         raise PanelError(f"unknown indicator ids: {sorted(unknown)}")
     keep = [i for i, ind in enumerate(panel.indicators) if ind.id not in ids]
+    values = np.take(panel.values, keep, axis=2)  # C order, unlike values[:, :, keep]
+    values.flags.writeable = False  # so the panel keeps it, uncopied
     return IndicatorPanel(
         periods=panel.periods,
         units=panel.units,
         indicators=tuple(panel.indicators[i] for i in keep),
-        values=panel.values[:, :, keep],
+        values=values,
     )
 
 

@@ -105,6 +105,7 @@ def generate_panel(config: SynthConfig) -> IndicatorPanel:
     m, n = config.units, config.indicators
     means = np.asarray(config.baseline_means)
     values = np.empty((len(config.periods), m, n))
+    noise = np.empty((m, n))  # each period's draws, in one buffer
     for p_i, (label, regime) in enumerate(config.periods):
         stressed = regime == "stressed"
         loading = config.loading_stressed if stressed else config.loading_baseline
@@ -112,14 +113,20 @@ def generate_panel(config: SynthConfig) -> IndicatorPanel:
             math.sqrt(config.variance_multiplier) if stressed else 1.0
         )
         factor = rng.standard_normal(m)
-        noise = rng.standard_normal((m, n))
-        # a term that overflows to +-inf has the sign of the exact sum, which
-        # the clamp takes to 0 or 100; two opposite infinite terms give NaN
+        rng.standard_normal(out=noise)
+        # means + loading * factor + sd * noise, left to right, in place in the
+        # panel's period, beside one buffer of draws. A term that overflows to
+        # +-inf has the sign of the exact sum, which the clamp takes to 0 or
+        # 100; two opposite infinite terms give NaN
+        x = values[p_i]
         with np.errstate(over="ignore", invalid="ignore"):
-            x = means + loading * factor[:, None] + sd * noise
+            np.add(means, (loading * factor)[:, None], out=x)
+            noise *= sd
+            x += noise
         if np.isnan(x).any():
             raise SynthConfigError(f"period {label}: loading and noise_sd overflow")
-        values[p_i] = np.clip(x, 0.0, 100.0)
+        np.clip(x, 0.0, 100.0, out=x)
+    values.flags.writeable = False  # so the panel keeps it, uncopied
     width = len(str(m))
     return IndicatorPanel(
         periods=tuple(label for label, _ in config.periods),

@@ -131,10 +131,11 @@ def variation_table(
     )
 
 
-def parse_flag_policy(policy: str) -> tuple[str, int | float]:
+def parse_flag_policy(policy: str, count: int | None = None) -> tuple[str, int | float]:
     """The kind and number of a flagging policy, ``topk:K`` or ``threshold:T``.
 
-    Checks all but the range of K, which needs the profile.
+    K must lie in [0, ``count``], the number of ranked indicators; with no
+    count, it must be >= 0.
     """
     kind, _, arg = policy.partition(":")
     read = {"topk": int, "threshold": float}.get(kind)
@@ -146,6 +147,9 @@ def parse_flag_policy(policy: str) -> tuple[str, int | float]:
         raise VariationError(f"bad {kind} policy {policy!r}") from None
     if kind == "threshold" and not n >= 0:  # written so that NaN fails it
         raise VariationError(f"threshold t={n} must be >= 0")
+    if kind == "topk" and (n < 0 or count is not None and n > count):
+        bound = "must be >= 0" if count is None else f"outside [0, {count}]"
+        raise VariationError(f"topk k={n} {bound}")
     return kind, n
 
 
@@ -155,10 +159,8 @@ def flag_exclusions(profile: VariationProfile, policy: str) -> set[int]:
     ``policy`` is ``topk:K`` (K highest-ranked ids) or ``threshold:T``
     (all ids with CV strictly above T).
     """
-    kind, n = parse_flag_policy(policy)
+    kind, n = parse_flag_policy(policy, len(profile.ranking))
     if kind == "topk":
-        if n < 0 or n > len(profile.ranking):
-            raise VariationError(f"topk k={n} outside [0, {len(profile.ranking)}]")
         return set(profile.ranking[:n])
     scores = profile.selected
     return {i for i in profile.ranking if scores[i] > n}

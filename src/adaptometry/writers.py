@@ -39,10 +39,11 @@ def csv_field(label: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def blocks(rows: int, width: int) -> Iterator[slice]:
+def blocks(rows: int, width: int, elements: int | None = None) -> Iterator[slice]:
     """Slices that cut ``rows`` rows of ``width`` entries each into blocks,
-    in order, of at most _FORMAT_BLOCK_ELEMENTS entries (or one row) each."""
-    step = max(1, _FORMAT_BLOCK_ELEMENTS // max(width, 1))
+    in order, of at most ``elements`` (default _FORMAT_BLOCK_ELEMENTS)
+    entries, or one row, each."""
+    step = max(1, (elements or _FORMAT_BLOCK_ELEMENTS) // max(width, 1))
     return (slice(s, s + step) for s in range(0, rows, step))
 
 

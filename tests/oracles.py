@@ -18,8 +18,9 @@ import statistics
 import numpy as np
 
 from adaptometry.analysis import analyze
-from adaptometry.panel import CSV_HEADER, Indicator, IndicatorPanel, PanelError
-from adaptometry.synthgen import StressContrast, generate_panel
+from adaptometry.correlation import CorrelationMatrix
+from adaptometry.panel import CSV_HEADER, Indicator, IndicatorPanel, PanelError, zero_variance
+from adaptometry.synthgen import StressContrast, SynthConfigError, generate_panel
 
 
 def oracle_total_weight(matrix, r0: float = 0.7) -> float:
@@ -62,6 +63,60 @@ def oracle_stress_contrast(config) -> StressContrast:
         d_max_baseline=float(np.mean(d["baseline"])),
         d_max_stressed=float(np.mean(d["stressed"])),
     )
+
+
+def oracle_generate_panel(config) -> IndicatorPanel:
+    """generate_panel's values from its one-expression period formula, each
+    period built in fresh arrays and copied in: the bitwise reference for the
+    library's in-place periods."""
+    rng = np.random.default_rng(config.seed)
+    m, n = config.units, config.indicators
+    means = np.asarray(config.baseline_means)
+    values = np.empty((len(config.periods), m, n))
+    for p_i, (label, regime) in enumerate(config.periods):
+        stressed = regime == "stressed"
+        loading = config.loading_stressed if stressed else config.loading_baseline
+        sd = config.noise_sd * (math.sqrt(config.variance_multiplier) if stressed else 1.0)
+        factor = rng.standard_normal(m)
+        noise = rng.standard_normal((m, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = means + loading * factor[:, None] + sd * noise
+        if np.isnan(x).any():
+            raise SynthConfigError(f"period {label}: loading and noise_sd overflow")
+        values[p_i] = np.clip(x, 0.0, 100.0)
+    width = len(str(m))
+    return IndicatorPanel(
+        periods=tuple(label for label, _ in config.periods),
+        units=tuple(f"u{k + 1:0{width}d}" for k in range(m)),
+        indicators=tuple(Indicator(i + 1, f"indicator_{i + 1}") for i in range(n)),
+        values=values,
+    )
+
+
+def oracle_correlation_matrix(slice_) -> CorrelationMatrix:
+    """correlation_matrix with the column scale from an (m, n) array of |value|
+    and the non-constant columns always copied out: the bitwise reference for
+    the library's form, which makes neither temporary."""
+    m, n = slice_.matrix.shape
+    if m < 2:
+        raise ValueError("need at least 2 units")
+    centered = slice_.matrix - slice_.matrix.mean(axis=0)
+    _, exponent = np.frexp(np.abs(centered).max(axis=0))
+    np.ldexp(centered, -exponent, out=centered)
+    ss = (centered * centered).sum(axis=0)
+    constant = zero_variance(slice_.matrix, 0)
+    values = np.full((n, n), np.nan)
+    ok = np.nonzero(~constant)[0]
+    sub = centered[:, ok]
+    cov = sub.T @ sub
+    norm = np.sqrt(ss[ok])
+    corr = cov / np.outer(norm, norm)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    values[np.ix_(ok, ok)] = corr
+    ids = tuple(slice_.indicator_ids)
+    zero = tuple(i for i, c in zip(ids, constant.tolist()) if c)
+    return CorrelationMatrix(ids, values, zero)
 
 
 def oracle_distance(u, v) -> float:

@@ -243,6 +243,16 @@ class TestAnalyze:
         assert record["log_volume"] == pytest.approx(154 * math.log(100), rel=1e-12)
         assert record["volume"] == pytest.approx(1e308, rel=1e-12)
 
+    def test_negative_topk_with_grouped_names_the_range(
+        self, panel_csv, grouped_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(panel_csv), "--grouped", str(grouped_csv),
+                     "--exclude", "17,19", "--flag-policy", "topk:-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: topk k=-1 outside [0, 19]\n"
+        assert not out.exists()
+
     def test_bad_flag_policy_writes_nothing(self, panel_csv, grouped_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -257,6 +267,7 @@ class TestAnalyze:
         ("bogus", "unknown flag policy 'bogus'"),
         ("topk:x", "bad topk policy 'topk:x'"),
         ("threshold:-1", "threshold t=-1.0 must be >= 0"),
+        ("topk:-1", "topk k=-1 must be >= 0"),
     ])
     def test_bad_flag_policy_without_grouped_writes_nothing(
         self, panel_csv, tmp_path, capsys, policy, message
@@ -634,6 +645,25 @@ class TestMemory:
             tracemalloc.stop()
         assert (tmp_path / "o" / "panel.csv").stat().st_size > 8 * 10**6
         assert peak < 17.9 * 2**20 / 2
+
+    def test_synth_holds_the_panel_about_once(self, tmp_path):
+        # 300 x 150 x 4 cells, a 1.37 MiB panel: with a copy of the panel in
+        # IndicatorPanel, fresh (m, n) temporaries per term of each period and
+        # every value text of a block alive at once, the run peaked at 3.71 MiB
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG.replace("units = 40", "units = 300").replace(
+            "indicators = 5", "indicators = 150").replace("noise_sd = 5.0", "noise_sd = 4").replace(
+            "seed = 7", "seed = 1").replace(
+            "periods = 2020-01:baseline, 2020-06:stressed",
+            "periods = 2020-01:baseline, 2020-02:stressed, 2020-03:baseline, 2020-04:stressed"))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 2**20
 
     def test_analyze_holds_one_distance_matrix(self, tmp_path, monkeypatch):
         # the peak from analyze's first period on: 4 periods of 400 x 20 against

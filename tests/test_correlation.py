@@ -7,10 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry.correlation import DEFAULT_THRESHOLD, ZeroVarianceError, matrix_to_csv
-from oracles import oracle_pearson, oracle_total_weight
+from oracles import oracle_correlation_matrix, oracle_pearson, oracle_total_weight
 
 # Computed by the stdlib-statistics brute-force oracle over the 17-indicator
 # panel (ids 17 and 19 removed); the published figure prints no numbers.
@@ -243,6 +245,77 @@ class TestCorrelationMatrix:
         assert lines[0].startswith("indicator_id,1,2,")
         assert len(lines) == 20
         assert lines[1].split(",")[1] == "1.00"
+
+
+def _same_bits(matrix: np.ndarray) -> None:
+    s = am.PeriodSlice("p", tuple(f"u{k}" for k in range(matrix.shape[0])),
+                       tuple(range(1, matrix.shape[1] + 1)), matrix)
+    got, ref = am.correlation_matrix(s), oracle_correlation_matrix(s)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.zero_variance_ids == ref.zero_variance_ids
+
+
+# a column: a constant, or values in [-1, 1] at one scale, with signed zeros
+COLUMN_SCALES = [1e-200, 2.0**-600, 1e-3, 1.0, 100.0, 1e200]
+
+
+@st.composite
+def slice_matrices(draw):
+    m, n = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    columns = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            columns.append([draw(st.sampled_from([0.0, -0.0, 0.7, 42.0, 1e-200, 1e200]))] * m)
+        else:
+            scale = draw(st.sampled_from(COLUMN_SCALES))
+            unit = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+            columns.append([scale * draw(unit) for _ in range(m)])
+    return np.array(columns).T.copy()
+
+
+class TestCorrelationMatrixMatchesOldForm:
+    """correlation_matrix takes each column's scale from its max and min and
+    copies no column unless one is constant; the form with an (m, n) |value|
+    array and a column copy is the reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=slice_matrices())
+    def test_any_slice(self, matrix):
+        _same_bits(matrix)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_magnitudes(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 200)), int(rng.integers(1, 60))
+        matrix = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-200, 200, n)
+        if seed % 2:
+            matrix[:, rng.integers(0, n)] = 1.5
+        _same_bits(matrix)
+
+    @pytest.mark.parametrize("case", ["no constant", "constant columns", "all constant",
+                                      "two units", "signed zeros"])
+    def test_cases(self, case):
+        matrix = np.random.default_rng(3).uniform(0, 100, size=(40, 9))
+        if case == "constant columns":
+            matrix[:, [0, 4, 8]] = 42.0
+        elif case == "all constant":
+            matrix[:] = 0.7
+        elif case == "two units":
+            matrix = matrix[:2].copy()
+        elif case == "signed zeros":
+            matrix[:, 2] = np.where(np.arange(40) % 2, 0.0, -0.0)
+            matrix[::3, 5] = -0.0
+        _same_bits(matrix)
+
+    def test_synth_periods(self):
+        config = am.SynthConfig(
+            units=300, indicators=150,
+            periods=tuple((f"2020-0{p + 1}", ("baseline", "stressed")[p % 2]) for p in range(4)),
+            baseline_means=(50.0,) * 150, noise_sd=4.0, loading_baseline=0.0,
+            loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+        )
+        for matrix in am.generate_panel(config).values:
+            _same_bits(matrix)
 
 
 class TestBuildNetwork:

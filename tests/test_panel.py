@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import adaptometry as am
-from adaptometry.panel import PanelError, period_label_errors
+from adaptometry.panel import PanelError, panel_csv_chunks, period_label_errors
 
 MINIMAL = "period,unit,indicator_id,indicator_name,value\n2009-08,West,1,economic regress,54\n"
 
@@ -314,3 +314,104 @@ class TestImmutability:
     def test_values_not_writeable(self, panel):
         with pytest.raises(ValueError):
             panel.values[0, 0, 0] = 1.0
+
+
+def _panel_of(values) -> am.IndicatorPanel:
+    p, m, n = np.shape(values)
+    return am.IndicatorPanel(
+        periods=tuple(f"p{k}" for k in range(p)),
+        units=tuple(f"u{k}" for k in range(m)),
+        indicators=tuple(am.Indicator(k + 1, f"i{k + 1}") for k in range(n)),
+        values=values,
+    )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class TestOwnership:
+    """A read-only float64 C-order array is kept as it is; anything else is
+    copied into one, so a caller's later writes never reach the panel."""
+
+    def test_writeable_array_is_copied(self):
+        arr = np.arange(24, dtype=float).reshape(2, 3, 4)
+        panel = _panel_of(arr)
+        arr[0, 0, 0] = 99.0
+        assert panel.values is not arr
+        assert panel.values[0, 0, 0] == 0.0
+        assert arr.flags.writeable
+
+    def test_read_only_float64_c_order_is_kept(self):
+        arr = _frozen(np.arange(24, dtype=float).reshape(2, 3, 4))
+        assert _panel_of(arr).values is arr
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(24, dtype=float).reshape(2, 3, 4).tolist(),
+        lambda: np.arange(24).reshape(2, 3, 4),
+        lambda: np.asfortranarray(np.arange(24, dtype=float).reshape(2, 3, 4)),
+        lambda: _frozen(np.asfortranarray(np.arange(24, dtype=float).reshape(2, 3, 4))),
+        lambda: _frozen(np.arange(24, dtype=np.float32).reshape(2, 3, 4)),
+        lambda: _frozen(np.arange(48, dtype=float).reshape(2, 3, 8)[:, :, ::2]),
+        lambda: _frozen(np.arange(24, dtype=">f8").reshape(2, 3, 4)),
+    ], ids=["list", "ints", "F order", "read-only F order", "read-only float32",
+            "read-only strided", "read-only big-endian"])
+    def test_other_inputs_are_converted(self, make):
+        raw = make()
+        panel = _panel_of(raw)
+        assert panel.values is not raw
+        assert panel.values.dtype == np.float64 and panel.values.dtype.isnative
+        assert panel.values.flags.c_contiguous
+        assert not panel.values.flags.writeable
+        assert np.array_equal(panel.values, np.array(raw, dtype=float))
+
+    def test_exclude_keeps_the_values(self, panel):
+        reduced = am.exclude_indicators(panel, {3, 17})
+        keep = [i for i, ind in enumerate(panel.indicators) if ind.id not in (3, 17)]
+        assert reduced.values.tobytes() == panel.values[:, :, keep].tobytes()
+
+
+def _synth_config(units, indicators):
+    return am.SynthConfig(
+        units=units, indicators=indicators,
+        periods=tuple((f"2020-0{p + 1}", ("baseline", "stressed")[p % 2]) for p in range(4)),
+        baseline_means=(50.0,) * indicators, noise_sd=4.0, loading_baseline=0.0,
+        loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+    )
+
+
+def _traced_peak(call):
+    """What ``call()`` allocates at its peak beyond what was held before, and
+    its result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """At the benchmark's synth size, 300 x 150 x 4 (a 1.37 MiB panel)."""
+
+    @pytest.fixture(scope="class")
+    def synth_panel(self):
+        return am.generate_panel(_synth_config(300, 150))
+
+    def test_exclude_holds_only_its_result(self, synth_panel):
+        # values[:, :, keep] is not C-ordered, and the panel copied it again:
+        # twice the result
+        peak, reduced = _traced_peak(lambda: am.exclude_indicators(synth_panel, {1}))
+        assert peak <= 1.1 * reduced.values.nbytes
+
+    def test_panel_csv_holds_one_pass_of_texts(self, synth_panel):
+        # a for loop holds each chunk while the next is built; with every value
+        # text of a 2**14-cell block alive at once, the peak was 3.06 MiB
+        def drain():
+            for _ in panel_csv_chunks(synth_panel):
+                pass
+
+        peak, _ = _traced_peak(drain)
+        assert peak <= 2.4 * 2**20

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import adaptometry as am
 from adaptometry.cli import main
@@ -9,7 +13,7 @@ from adaptometry.synthgen import (
     SynthConfigError,
     parse_synth_config,
 )
-from oracles import oracle_stress_contrast
+from oracles import oracle_generate_panel, oracle_stress_contrast
 
 
 def make_config(**overrides):
@@ -265,6 +269,84 @@ class TestGenerate:
             hits += w == 0.0
         assert hits == 20
         assert config.seed == 1
+
+
+def _generated(generate, config):
+    """The panel's values as bytes, or the SynthConfigError message."""
+    try:
+        return generate(config).values.tobytes()
+    except SynthConfigError as exc:
+        return str(exc)
+
+
+class TestGenerateMatchesOneExpression:
+    """generate_panel builds each period in place in the panel's array; the
+    one-expression formula it replaced is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(300, 150, 4), (60, 300, 2), (7, 3, 5)])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_benchmark_shapes(self, shape, seed):
+        units, indicators, n_periods = shape
+        config = make_config(
+            units=units, indicators=indicators, baseline_means=(50.0,) * indicators,
+            noise_sd=4.0, seed=seed,
+            periods=tuple((f"2020-{p + 1:02d}", ("baseline", "stressed")[p % 2])
+                          for p in range(n_periods)),
+        )
+        panel = am.generate_panel(config)
+        assert panel.values.tobytes() == oracle_generate_panel(config).values.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        units=st.integers(2, 30),
+        indicators=st.integers(1, 12),
+        regimes=st.lists(st.sampled_from(["baseline", "stressed"]), min_size=1, max_size=4),
+        means=st.floats(0.0, 100.0),
+        noise_sd=st.sampled_from([1e-300, 0.5, 4.0, 1e300, 1e308]) | st.floats(1e-3, 1e308),
+        loadings=st.lists(
+            st.sampled_from([0.0, 15.0, 1e300, 1e308]) | st.floats(0.0, 1e308),
+            min_size=2, max_size=2,
+        ).map(sorted),
+        variance_multiplier=st.sampled_from([1.0, 2.0, 4.0]) | st.floats(1.0, 1e300),
+        seed=st.integers(0, 2**64),
+    )
+    # both terms overflow, with opposite signs in some cell of the second period
+    @example(units=5, indicators=3, regimes=["baseline", "stressed", "stressed"], means=50.0,
+             noise_sd=1e308, loadings=[0.0, 1e308], variance_multiplier=4.0, seed=1)
+    def test_any_config(self, units, indicators, regimes, means, noise_sd, loadings,
+                        variance_multiplier, seed):
+        config = make_config(
+            units=units, indicators=indicators, baseline_means=(means,) * indicators,
+            noise_sd=noise_sd, loading_baseline=loadings[0], loading_stressed=loadings[1],
+            variance_multiplier=variance_multiplier, seed=seed,
+            periods=tuple((f"2020-{p + 1:02d}", r) for p, r in enumerate(regimes)),
+        )
+        assert _generated(am.generate_panel, config) == _generated(oracle_generate_panel, config)
+
+    def test_overflow_names_the_same_period(self):
+        config = make_config(
+            loading_stressed=1e308, noise_sd=1e308, variance_multiplier=4.0,
+            periods=(("2020-01", "baseline"), ("2020-02", "stressed"), ("2020-03", "stressed")),
+        )
+        message = "period 2020-02: loading and noise_sd overflow"
+        assert _generated(am.generate_panel, config) == message
+        assert _generated(oracle_generate_panel, config) == message
+
+    def test_holds_one_period_of_draws_beside_the_panel(self):
+        # 300 x 150 x 4: a fresh (m, n) array per term of each period took the
+        # peak to 2.5 times the 1.37 MiB panel
+        config = make_config(
+            units=300, indicators=150, baseline_means=(50.0,) * 150, noise_sd=4.0,
+            periods=tuple((f"2020-0{p + 1}", ("baseline", "stressed")[p % 2]) for p in range(4)),
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            panel = am.generate_panel(config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * panel.values.nbytes
 
 
 class TestStressContrast:

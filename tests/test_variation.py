@@ -202,6 +202,25 @@ class TestFlagExclusions:
             am.flag_exclusions(profile, policy)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("policy,count,message", [
+        ("topk:-1", None, "topk k=-1 must be >= 0"),
+        ("topk:-1", 19, "topk k=-1 outside [0, 19]"),
+        ("topk:20", 19, "topk k=20 outside [0, 19]"),
+    ])
+    def test_parser_checks_k(self, policy, count, message):
+        with pytest.raises(VariationError) as info:
+            am.variation.parse_flag_policy(policy, count)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("policy,count,parsed", [
+        ("topk:20", None, ("topk", 20)),
+        ("topk:0", 0, ("topk", 0)),
+        ("topk:19", 19, ("topk", 19)),
+        ("threshold:5", 0, ("threshold", 5.0)),
+    ])
+    def test_parser_accepts_k_in_range(self, policy, count, parsed):
+        assert am.variation.parse_flag_policy(policy, count) == parsed
+
     @pytest.mark.parametrize("seed", range(30))
     def test_topk_is_ranking_prefix(self, seed):
         rng = np.random.default_rng(seed)
