@@ -8,6 +8,7 @@ from long-format CSV (one row per cell) and kept as a dense, immutable
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
@@ -25,6 +26,13 @@ CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 # its text was 1.15 times the text's length at 2**14, 1.18 at 2**15, 1.58 at
 # 2**16 and 2.42 at 2**17.
 _CHUNK_CHARS = 2**15
+
+# The most cells a panel's labels may span and still number each in an intp.
+_MAX_CELLS = np.iinfo(np.intp).max
+
+# The control characters XML 1.0 cannot hold, so no SVG chart can name a
+# period holding one: all of C0 but NUL, tab, line feed and carriage return.
+_XML_CONTROLS = frozenset(map(chr, (*range(1, 9), 0xB, 0xC, *range(0xE, 0x20))))
 
 
 class PanelError(ValueError):
@@ -196,29 +204,42 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
         raise PanelError("no data rows")
     p_at, u_at, i_at, value = map(_joined, arrays)
     shape = (len(periods), len(units), len(ind_index))
-    # no array holds more entries than the file has rows: codes are int32, cell
-    # positions intp; each is deleted once read for the last time
-    at = np.ravel_multi_index((p_at, u_at, i_at), shape)  # each row's cell, in C order
+    # each row's cell as keys in C order: its position, or, where positions
+    # would overflow an intp, (period and unit, indicator), whose first key
+    # is under 2**62 as codes are int32. No array holds more entries than the
+    # file has rows; each is deleted once read for the last time
+    if math.prod(shape) <= _MAX_CELLS:
+        keys = [np.ravel_multi_index((p_at, u_at, i_at), shape)]
+    else:
+        keys = [p_at.astype(np.intp) * shape[1] + u_at, i_at]
     del p_at, u_at, i_at
-    order = np.argsort(at, kind="stable")  # rows by cell, those of one cell in file order
-    held = at[order]
+    # the rows by cell, those of one cell in file order
+    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
+    held = [key[order] for key in keys]
 
-    def cell(position):  # the labels of a cell, on an error path only
-        return tuple(list(labels)[i] for labels, i in
-                     zip((periods, units, ind_index), np.unravel_index(position, shape)))
+    def cell(*key):  # the labels of a cell from its keys, on an error path only
+        pu, i = divmod(*key, shape[2]) if len(key) == 1 else key
+        return list(periods)[pu // shape[1]], list(units)[pu % shape[1]], list(ind_index)[i]
 
-    again = order[1:][held[1:] == held[:-1]]  # the rows whose cell an earlier row holds
+    same = held[0][1:] == held[0][:-1]
+    for h in held[1:]:
+        same &= h[1:] == h[:-1]
+    again = order[1:][same]  # the rows whose cell an earlier row holds
     if again.size:
         k = int(again.min())
         row = list(chain.from_iterable(row_nos))[k]
-        raise PanelError(f"row {row}: duplicate cell {cell(at[k])}")
+        raise PanelError(f"row {row}: duplicate cell {cell(*(int(key[k]) for key in keys))}")
     if error is not None:
         raise PanelError(error)
-    del at
-    if value.size != shape[0] * shape[1] * shape[2]:
-        # held rises strictly and held[j] >= j, so the cells j with held[j] == j
-        # are a prefix, and the first gap in C order is their count
-        gap = cell(np.count_nonzero(held == np.arange(held.size)))
+    del keys
+    if value.size != math.prod(shape):
+        # cells rise strictly in C order from position 0 on, and the j-th is
+        # at j or after it, so those at their own j are a prefix, and the
+        # first gap in C order is their count
+        j = np.arange(order.size)
+        at_j = held[0] == j if len(held) == 1 else (
+            (held[0] == j // shape[2]) & (held[1] == j % shape[2]))
+        gap = cell(np.count_nonzero(at_j))
         raise PanelError("missing cell (period={}, unit={}, indicator={})".format(*gap))
     values = value[order]
     del held, order, value
@@ -392,8 +413,9 @@ def zero_variance(values: np.ndarray, units_axis: int) -> np.ndarray:
 
 def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
     """(location, message) for each period label that cannot name an output
-    file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, over 251 bytes
-    of UTF-8, or equal to an earlier label under ``str.casefold``; then one for
+    file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, holding a
+    control character that an SVG chart cannot carry, over 251 bytes of
+    UTF-8, or equal to an earlier label under ``str.casefold``; then one for
     each label not greater than the one before it."""
     errors = []
     folded: dict[str, str] = {}  # casefolded label -> first label with it
@@ -402,6 +424,12 @@ def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
             errors.append((
                 f"period {period!r}",
                 "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL",
+            ))
+        if not _XML_CONTROLS.isdisjoint(period):
+            errors.append((
+                f"period {period!r}",
+                "period labels are chart text: no control character XML 1.0 cannot "
+                "hold (U+0001-U+0008, U+000B, U+000C, U+000E-U+001F)",
             ))
         # "<label>.csv" may not exceed 255 bytes, the file-name limit of ext4,
         # xfs, btrfs and tmpfs

@@ -98,13 +98,20 @@ def coefficient_of_variation(values: Sequence[float], estimator: str = "sample")
 
 def _row_cvs(rows: np.ndarray, estimator: str) -> tuple[list[float], list[str | None]]:
     """Each row's CV, and None or why it is undefined (a mean <= 0)."""
-    mean = rows.mean(axis=1)
-    ss = ((rows - mean[:, None]) ** 2).sum(axis=1)
+    # a CV does not depend on a row's scale, so each row is scaled by a power
+    # of two to a max |value| in [0.5, 1), as correlation_matrix scales its
+    # columns: its sum cannot overflow nor its squares underflow, and a CV
+    # that did neither before keeps every bit
+    _, exponent = np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
+    scaled = np.ldexp(rows, -exponent[:, None])
+    mean = scaled.mean(axis=1)
+    ss = ((scaled - mean[:, None]) ** 2).sum(axis=1)
     if estimator == "sample":
         ss /= rows.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):  # a mean of 0 is an error
         cvs = (np.sqrt(ss) / mean).tolist()
-    return cvs, [f"mean {m} <= 0, CV undefined" if m <= 0.0 else None for m in mean.tolist()]
+    return cvs, [f"mean {unscaled} <= 0, CV undefined" if m <= 0.0 else None
+                 for m, unscaled in zip(mean.tolist(), np.ldexp(mean, exponent).tolist())]
 
 
 def rank_by_score(scores: Mapping[int, float]) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import csv
+import os
 import pathlib
 
 import numpy as np
@@ -10,6 +11,13 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 PERIODS = ("2009-08", "2010-03", "2011-03", "2012-07")
 REGIONS = ("West", "Centre", "North", "East", "South", "Donbas")
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the adaptometry
+    these tests import, from src/ or from an installed copy."""
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(am.__file__).resolve().parents[1])}
 
 
 @pytest.fixture(scope="session")

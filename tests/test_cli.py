@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import stat
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -34,7 +35,30 @@ variance_multiplier = 2.0
 seed = 7
 """
 
+# a 200 x 50 x 4 panel, whose file spans many of parse_panel's chunks
+CHUNKS_CONFIG = """\
+units = 200
+indicators = 50
+periods = 2020-01:baseline, 2020-02:stressed, 2020-03:baseline, 2020-04:stressed
+baseline_means = 50
+noise_sd = 4
+loading_baseline = 0
+loading_stressed = 15
+variance_multiplier = 2
+seed = 1
+"""
+
 DATA = pathlib.Path(__file__).parent / "data"
+
+# Runs ``python <its arguments>`` and prints that process's peak RSS in MiB,
+# ru_maxrss from os.wait4. A spawned process's ru_maxrss starts from its
+# parent's, so the parent is this small interpreter, not the test process.
+PEAK_MIB = (
+    "import os, sys\n"
+    "argv = [sys.executable, *sys.argv[1:]]\n"
+    "_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)\n"
+    "sys.exit(f'wait status {status}') if status else print(usage.ru_maxrss / 1024)\n"
+)
 
 
 def _mask_timestamp(report: str) -> str:
@@ -124,7 +148,9 @@ class TestAnalyze:
         code = main(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(out)])
         assert code == 2
         assert not out.exists()
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: cannot read {tmp_path / 'nope.csv'}: No such file or directory\n"
+        )
 
     def test_invalid_panel_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -170,6 +196,22 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: period '{label}': period labels name output files: at most 251 bytes "
             "of UTF-8, so that '<label>.csv' fits a 255-byte file name\n"
+        )
+        assert not out.exists()
+
+    def test_period_label_an_svg_cannot_hold_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "control.csv"
+        bad.write_text(
+            "period,unit,indicator_id,indicator_name,value\n"
+            + "".join(f"{p},{u},{i},x{i},{10 * i + u}\n"
+                      for p in ("a\x01", "b\x02") for u in (1, 2, 3) for i in (1, 2))
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(bad), "--plots", "--out", str(out)]) == 1
+        rule = ("period labels are chart text: no control character XML 1.0 cannot hold "
+                "(U+0001-U+0008, U+000B, U+000C, U+000E-U+001F)")
+        assert capsys.readouterr().err == (
+            f"error: period 'a\\x01': {rule}\nerror: period 'b\\x02': {rule}\n"
         )
         assert not out.exists()
 
@@ -338,11 +380,13 @@ class TestAnalyze:
         )
 
     def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
-        # Excel's "CSV UTF-8" export starts a file with U+FEFF
+        # Excel's "CSV UTF-8" export starts a file with U+FEFF, and writes an
+        # empty row of a table as `,,`
         bom = tmp_path / "bom"
         bom.mkdir()
-        for name in ("ukraine_fears_panel.csv", "political_groups.csv"):
-            (bom / name).write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        for name, tail in (("ukraine_fears_panel.csv", b""),
+                           ("political_groups.csv", b",,\n,,\n")):
+            (bom / name).write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes() + tail)
         for src, out in ((DATA, tmp_path / "out"), (bom, tmp_path / "bom-out")):
             assert main(["analyze", "--input", str(src / "ukraine_fears_panel.csv"),
                          "--grouped", str(src / "political_groups.csv"), "--exclude", "17,19",
@@ -436,6 +480,21 @@ class TestAnalyze:
         doc = json.loads((out / "report.json").read_text())
         assert doc["metadata"]["cv_estimator"] == "unnormalized"
         assert len(doc["metadata"]["flagged_indicator_ids"]) == 2
+
+    def test_grouped_rows_at_the_ends_of_the_double_range(self, panel_csv, tmp_path, capsys):
+        # the sum of row 1 overflows, the squared deviations of row 2 underflow
+        grouped = tmp_path / "grouped.csv"
+        grouped.write_text("indicator_id,group,value\n1,A,1e308\n1,B,1.5e308\n"
+                           "2,A,1e-200\n2,B,3e-200\n3,A,20\n3,B,25\n")
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(panel_csv), "--grouped", str(grouped),
+                     "--flag-policy", "topk:1", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "variation.csv").read_text() == (
+            "indicator_id,cv_sample,cv_unnormalized,rank,flagged\n"
+            "2,0.707107,0.707107,1,1\n1,0.282843,0.282843,2,0\n3,0.157135,0.157135,3,0\n"
+        )
 
     def test_undefined_cv_is_a_warning(self, panel_csv, tmp_path, capsys):
         grouped = tmp_path / "grouped.csv"
@@ -665,6 +724,30 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 3.2 * 2**20
 
+    def test_synth_peak_rss_holds_the_panel_about_once(self, tmp_path, child_env):
+        # synth 2000 x 200 x 4 holds its 12.2 MiB panel about once: the peak
+        # RSS of a fresh process running it exceeds that of one that imports
+        # adaptometry.cli, draws from numpy.random and makes one BLAS product
+        # by at most 2.25 times the panel (22 MiB measured on 3.11; 37 MiB when
+        # the panel was copied and each period built from temporaries)
+        config = tmp_path / "big.cfg"
+        config.write_text(CHUNKS_CONFIG.replace("units = 200", "units = 2000").replace(
+            "indicators = 50", "indicators = 200"))
+
+        def peak_mib(*args):
+            done = subprocess.run([sys.executable, "-c", PEAK_MIB, *args], env=child_env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            return float(done.stdout)
+
+        base = peak_mib("-c", "import numpy as np, adaptometry.cli\n"
+                              "a = np.random.default_rng(1).standard_normal((64, 64))\na @ a")
+        synth = peak_mib("-c", "import sys\nfrom adaptometry.cli import main\n"
+                               "sys.exit(main(sys.argv[1:]))",
+                         "synth", "--config", str(config), "--out", str(tmp_path / "big"))
+        assert (tmp_path / "big" / "panel.csv").stat().st_size > 0
+        panel = 2000 * 200 * 4 * 8 / 2**20
+        assert synth - base <= 2.25 * panel, (synth, base, panel)
+
     def test_analyze_holds_one_distance_matrix(self, tmp_path, monkeypatch):
         # the peak from analyze's first period on: 4 periods of 400 x 20 against
         # the first period alone, within less than one more 400 x 400 matrix
@@ -869,6 +952,18 @@ class TestReportJson:
         assert _report(doc, results) == _old_report_json(doc, results)
 
 
+@pytest.fixture(scope="module")
+def chunks_run(tmp_path_factory):
+    """synth's outputs for CHUNKS_CONFIG, in synth/, and analyze's for its
+    panel, in out/."""
+    tmp = tmp_path_factory.mktemp("chunks")
+    (tmp / "synth.cfg").write_text(CHUNKS_CONFIG)
+    assert main(["synth", "--config", str(tmp / "synth.cfg"), "--out", str(tmp / "synth")]) == 0
+    assert main(["analyze", "--input", str(tmp / "synth" / "panel.csv"),
+                 "--out", str(tmp / "out")]) == 0
+    return tmp
+
+
 class TestSynth:
     def test_generated_panel_loads_in_analyze(self, tmp_path):
         config = tmp_path / "synth.cfg"
@@ -880,6 +975,7 @@ class TestSynth:
         assert main(
             ["analyze", "--input", str(out / "panel.csv"), "--out", str(tmp_path / "a")]
         ) == 0
+        assert (tmp_path / "a" / "report.json").stat().st_size > 0
 
     def test_same_seed_byte_identical(self, tmp_path):
         config = tmp_path / "synth.cfg"
@@ -907,6 +1003,28 @@ class TestSynth:
         seed, wb, ws, db, ds = lines[1].split(",")
         assert float(ws) > float(wb)
         assert float(ds) > float(db)
+
+    def test_contrast_holds_the_regime_means_of_the_report(self, chunks_run):
+        # contrast.csv builds each period's network but no distance matrix;
+        # it gives the means of analyze's weight and d_max at 6 decimals
+        periods = json.loads((chunks_run / "out" / "report.json").read_text())["periods"]
+        regimes = ["baseline", "stressed", "baseline", "stressed"]
+        assert len(periods) == len(regimes)
+        expected = [
+            f"{np.mean([p[key] for p, r in zip(periods, regimes) if r == regime]):.6f}"
+            for key in ("weight", "d_max") for regime in ("baseline", "stressed")
+        ]
+        header, row = (chunks_run / "synth" / "contrast.csv").read_text().splitlines()
+        assert header == "seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed"
+        assert row.split(",") == ["1", *expected]
+
+    def test_crlf_copy_with_a_comment_gives_the_same_matrices(self, chunks_run, tmp_path):
+        crlf = tmp_path / "crlf.csv"
+        lf = (chunks_run / "synth" / "panel.csv").read_bytes()
+        crlf.write_bytes(b"# c\r\n" + lf.replace(b"\n", b"\r\n"))
+        assert main(["analyze", "--input", str(crlf), "--out", str(tmp_path / "out")]) == 0
+        for name in ("matrices", "distances"):
+            _assert_same_outputs(chunks_run / "out" / name, tmp_path / "out" / name)
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         config = tmp_path / "synth.cfg"

@@ -219,6 +219,17 @@ def test_parse_panel_in_small_chunks_is_the_line_parser(text, chunk_chars):
         _assert_parses_as_oracle(text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=PARITY_TEXTS)
+@example(text=",".join(CSV_HEADER) + "\na,u,2,B,5\na,u,1,A,5\na,u,1,A,5\na,u,2,B,5\n")
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\nb,v,2,y,5\na,u,1,x,z\n")
+def test_parse_panel_by_cell_pairs_is_the_line_parser(text):
+    """Where the labels span more cells than an intp counts, each row's cell
+    is keyed as (period and unit, indicator): that path on every panel."""
+    with mock.patch.object(panel_module, "_MAX_CELLS", 0):
+        _assert_parses_as_oracle(text)
+
+
 def _workloads():
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -265,9 +276,11 @@ def test_parse_synth_config(text):
     assert isinstance(result, SynthConfig)
 
 
-# Period labels in order, or else out of order, equal but for case, or naming no file.
+# Period labels in order, or else out of order, equal but for case, naming no
+# file, or holding a control character that no SVG chart can hold.
 PERIODS = st.sampled_from([["2020"], ["2020", "2021"]]) | st.lists(
-    st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b", "a\x00b"]),
+    st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b", "a\x00b",
+                     "a\x01b"]),
     min_size=1, max_size=3, unique=True,
 )
 

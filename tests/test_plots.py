@@ -1,7 +1,6 @@
 """SVG line charts: rejected inputs, the layout where the axes degenerate,
 and text escaping without the xml.sax import chain."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from adaptometry.plots import escape, line_chart
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("x_labels,series,message", [
@@ -43,16 +42,23 @@ def test_escape_is_saxutils_escape(text):
     assert escape(text) == sax_escape(text)
 
 
-def test_import_loads_no_network_or_xml_modules():
+def test_import_loads_no_network_or_xml_modules(child_env, tmp_path):
     # xml.sax.saxutils imports urllib.request, which loads http.client,
-    # email and ssl; a fresh interpreter shows what the import itself loads
+    # email and ssl; a fresh interpreter shows what the import itself loads,
+    # and then what a whole --plots run loads, lazy imports included
     code = (
         "import sys\n"
         "import adaptometry.cli, adaptometry.plots\n"
         "names = ('ssl', 'urllib.request', 'http.client', 'email', 'xml.sax')\n"
         "print(' '.join(n for n in names if n in sys.modules))\n"
+        "code = adaptometry.cli.main(sys.argv[1:])\n"
+        "print(code, *(n for n in names if n in sys.modules))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert done.stdout == "\n"
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", str(DATA / "ukraine_fears_panel.csv"),
+            "--grouped", str(DATA / "political_groups.csv"), "--exclude", "17,19",
+            "--plots", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=child_env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "\n0\n"
+    assert (out / "weight.svg").stat().st_size > 0

@@ -170,6 +170,8 @@ BAD_LABELS = {
     "slash": (("a/b", "z"), f"period 'a/b': {_FILE_NAME_RULE}"),
     "backslash": (("a\\b", "z"), f"period 'a\\\\b': {_FILE_NAME_RULE}"),
     "NUL": (("a\0b", "z"), f"period 'a\\x00b': {_FILE_NAME_RULE}"),
+    "control": (("a\x01b", "z"), "period 'a\\x01b': period labels are chart text: no control "
+                "character XML 1.0 cannot hold (U+0001-U+0008, U+000B, U+000C, U+000E-U+001F)"),
     "two bad": (("", "a/b"), f"period '': {_FILE_NAME_RULE}"),
     "case": (("A", "a"), "period 'a': period labels 'A' and 'a' differ only in case, so their "
                          "output files collide on case-insensitive file systems"),

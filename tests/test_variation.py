@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adaptometry as am
@@ -18,14 +19,17 @@ from oracles import oracle_cv, oracle_cv_rowwise
 
 FEAR4_BY_PARTY = (32, 30, 23, 10, 25, 29, 26)
 
-# rows of a grouped table, by rng and length
+# rows of a grouped table, by rng and length, and the power of two the table
+# scales each by: a CV does not depend on it, so oracle_cv_rowwise of the
+# unscaled row, where nothing overflows or underflows, is the reference
 ROW_KINDS = {
-    "zeros": lambda rng, n: np.zeros(n),
-    "one decimal": lambda rng, n: rng.integers(0, 1001, n) / 10,
-    "constant": lambda rng, n: np.full(n, rng.integers(1, 1001) / 10),
-    "uniform": lambda rng, n: rng.uniform(0, 100, n),
-    "squares underflow": lambda rng, n: rng.uniform(0, 1e-160, n),
-    "mean underflows to 0": lambda rng, n: rng.choice([0.0, 5e-324], n),
+    "zeros": (lambda rng, n: np.zeros(n), 0),
+    "one decimal": (lambda rng, n: rng.integers(0, 1001, n) / 10, 0),
+    "constant": (lambda rng, n: np.full(n, rng.integers(1, 1001) / 10), 0),
+    "uniform": (lambda rng, n: rng.uniform(0, 100, n), 0),
+    "squares underflow": (lambda rng, n: rng.uniform(0, 100, n), -560),
+    "mean underflows to 0": (lambda rng, n: rng.choice([0.0, 1.0], n), -1074),
+    "sum overflows": (lambda rng, n: rng.uniform(0, 100, n), 1017),
 }
 
 
@@ -55,6 +59,40 @@ class TestCoefficientOfVariation:
     def test_unknown_estimator(self):
         with pytest.raises(VariationError, match="estimator"):
             am.coefficient_of_variation([1, 2, 3], "mad")
+
+    @pytest.mark.parametrize("row,cv", [
+        ([1e308, 1.5e308], 0.28284),  # the sum overflows
+        ([1e-200, 3e-200], 0.70711),  # the squared deviations underflow
+    ], ids=["sum overflows", "squares underflow"])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_extreme_rows_against_exact_arithmetic(self, row, cv, estimator):
+        # the mean and sum of squares as fractions, the CV's square rounded once
+        values = [Fraction(v) for v in row]
+        mean = sum(values) / len(values)
+        ss = sum((v - mean) ** 2 for v in values)
+        if estimator == "sample":
+            ss /= len(values) - 1
+        got = am.coefficient_of_variation(row, estimator)
+        assert got == pytest.approx(math.sqrt(ss / mean**2), rel=1e-15)
+        assert got == pytest.approx(cv, abs=1e-5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e-300, 5e-324]),
+                        min_size=2, max_size=20),
+           k=st.integers(-1100, 1100), estimator=st.sampled_from(ESTIMATORS))
+    def test_power_of_two_scale_keeps_every_bit(self, row, k, estimator):
+        x = np.array(row)
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(x, k)
+        # every value scaled exactly, none lost to the ends of the double range
+        assume(np.isfinite(scaled).all() and np.array_equal(np.ldexp(scaled, -k), x))
+        try:
+            cv = am.coefficient_of_variation(x, estimator)
+        except VariationError:
+            with pytest.raises(VariationError):
+                am.coefficient_of_variation(scaled, estimator)
+            return
+        assert am.coefficient_of_variation(scaled, estimator) == cv
 
     @pytest.mark.parametrize("seed", range(100))
     def test_scale_invariance_and_estimator_relation(self, seed):
@@ -127,16 +165,18 @@ class TestVariationTable:
         # 2 to 300 groups cross numpy's pairwise-sum blocks of 8 and 128; the
         # table holds its values in C order, whatever order it is given
         rng = np.random.default_rng(seed)
+        rows = [ROW_KINDS[kind][0](rng, groups) for kind in kinds]
         table = am.GroupedIndicatorTable(
             tuple(range(1, len(kinds) + 1)), tuple(f"g{k}" for k in range(groups)),
-            np.array([ROW_KINDS[kind](rng, groups) for kind in kinds], order=order),
+            np.array([np.ldexp(row, ROW_KINDS[kind][1]) for row, kind in zip(rows, kinds)],
+                     order=order),
         )
         expected = {estimator: {} for estimator in ESTIMATORS}
         errors = []
-        for ind_id, row in zip(table.indicator_ids, table.values):
+        for ind_id, unscaled, row in zip(table.indicator_ids, rows, table.values):
             try:
                 for estimator in ESTIMATORS:
-                    expected[estimator][ind_id] = oracle_cv_rowwise(row, estimator)
+                    expected[estimator][ind_id] = oracle_cv_rowwise(unscaled, estimator)
                     assert am.coefficient_of_variation(row, estimator) == (
                         expected[estimator][ind_id]
                     )
