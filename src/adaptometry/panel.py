@@ -8,7 +8,6 @@ from long-format CSV (one row per cell) and kept as a dense, immutable
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
@@ -27,12 +26,10 @@ CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 # 2**16 and 2.42 at 2**17.
 _CHUNK_CHARS = 2**15
 
-# The most cells a panel's labels may span and still number each in an intp.
-_MAX_CELLS = np.iinfo(np.intp).max
-
-# The control characters XML 1.0 cannot hold, so no SVG chart can name a
-# period holding one: all of C0 but NUL, tab, line feed and carriage return.
-_XML_CONTROLS = frozenset(map(chr, (*range(1, 9), 0xB, 0xC, *range(0xE, 0x20))))
+# The characters XML 1.0 cannot hold that strict UTF-8 decoding lets through,
+# NUL aside, so no SVG chart can name a period holding one: the rest of C0
+# but tab, line feed and carriage return, and the noncharacters U+FFFE, U+FFFF.
+_NOT_XML = frozenset(map(chr, (*range(1, 9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF)))
 
 
 class PanelError(ValueError):
@@ -202,47 +199,32 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     *arrays, row_nos = codes
     if error is None and not sum(map(len, arrays[3])):
         raise PanelError("no data rows")
-    p_at, u_at, i_at, value = map(_joined, arrays)
     shape = (len(periods), len(units), len(ind_index))
-    # each row's cell as keys in C order: its position, or, where positions
-    # would overflow an intp, (period and unit, indicator), whose first key
-    # is under 2**62 as codes are int32. No array holds more entries than the
-    # file has rows; each is deleted once read for the last time
-    if math.prod(shape) <= _MAX_CELLS:
-        keys = [np.ravel_multi_index((p_at, u_at, i_at), shape)]
-    else:
-        keys = [p_at.astype(np.intp) * shape[1] + u_at, i_at]
-    del p_at, u_at, i_at
-    # the rows by cell, those of one cell in file order
-    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
-    held = [key[order] for key in keys]
+    # no array holds more entries than the file has rows; each is deleted
+    # once read for the last time
+    order, pu, i = _rows_by_cell(*arrays[:3], shape[1])
+    value = _joined(arrays[3])
 
-    def cell(*key):  # the labels of a cell from its keys, on an error path only
-        pu, i = divmod(*key, shape[2]) if len(key) == 1 else key
+    def cell(pu, i):  # the labels of the cell keyed (pu, i), on an error path only
         return list(periods)[pu // shape[1]], list(units)[pu % shape[1]], list(ind_index)[i]
 
-    same = held[0][1:] == held[0][:-1]
-    for h in held[1:]:
-        same &= h[1:] == h[:-1]
-    again = order[1:][same]  # the rows whose cell an earlier row holds
-    if again.size:
-        k = int(again.min())
-        row = list(chain.from_iterable(row_nos))[k]
-        raise PanelError(f"row {row}: duplicate cell {cell(*(int(key[k]) for key in keys))}")
+    again = np.flatnonzero((pu[1:] == pu[:-1]) & (i[1:] == i[:-1])) + 1
+    if again.size:  # places whose cell the place before holds: take the earliest row
+        s = again[np.argmin(order[again])]
+        row = list(chain.from_iterable(row_nos))[order[s]]
+        raise PanelError(f"row {row}: duplicate cell {cell(int(pu[s]), int(i[s]))}")
     if error is not None:
         raise PanelError(error)
-    del keys
-    if value.size != math.prod(shape):
-        # cells rise strictly in C order from position 0 on, and the j-th is
-        # at j or after it, so those at their own j are a prefix, and the
-        # first gap in C order is their count
+    if value.size != shape[0] * shape[1] * shape[2]:
+        # cells rise strictly in C order, and the j-th is at position j or
+        # after it, so those at their own j are a prefix, and the first gap
+        # in C order is their count
         j = np.arange(order.size)
-        at_j = held[0] == j if len(held) == 1 else (
-            (held[0] == j // shape[2]) & (held[1] == j % shape[2]))
-        gap = cell(np.count_nonzero(at_j))
+        gap = cell(*divmod(np.count_nonzero((pu == j // shape[2]) & (i == j % shape[2])),
+                           shape[2]))
         raise PanelError("missing cell (period={}, unit={}, indicator={})".format(*gap))
     values = value[order]
-    del held, order, value
+    del pu, i, order, value
     values.flags.writeable = False  # so the panel keeps it, uncopied
     return IndicatorPanel(
         periods=tuple(periods),
@@ -250,6 +232,20 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
         indicators=tuple(Indicator(i, name) for i, name in names.items()),
         values=values.reshape(shape),
     )
+
+
+def _rows_by_cell(
+    p_pieces: list, u_pieces: list, i_pieces: list, n_units: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows in the C order of their cells, those of one cell in file
+    order, and the keys (period and unit, indicator) of their cells in that
+    order, from the pieces of each row's int32 codes (the lists are emptied).
+    The first key is under 2**62 however many cells the labels span."""
+    pu_at = _joined(p_pieces).astype(np.intp) * n_units
+    pu_at += _joined(u_pieces)
+    i_at = _joined(i_pieces)
+    order = np.lexsort((i_at, pu_at))
+    return order, pu_at[order], i_at[order]
 
 
 def _line_chunks(text: str) -> Iterator[tuple[list[str], Sequence[int], bool]]:
@@ -414,7 +410,7 @@ def zero_variance(values: np.ndarray, units_axis: int) -> np.ndarray:
 def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
     """(location, message) for each period label that cannot name an output
     file: empty, ``.`` or ``..``, holding ``/``, ``\\`` or NUL, holding a
-    control character that an SVG chart cannot carry, over 251 bytes of
+    character that XML 1.0, and so an SVG chart, cannot carry, over 251 bytes of
     UTF-8, or equal to an earlier label under ``str.casefold``; then one for
     each label not greater than the one before it."""
     errors = []
@@ -425,11 +421,11 @@ def period_label_errors(periods: Sequence[str]) -> list[tuple[str, str]]:
                 f"period {period!r}",
                 "period labels name output files: not empty, '.' or '..', no '/', '\\' or NUL",
             ))
-        if not _XML_CONTROLS.isdisjoint(period):
+        if not _NOT_XML.isdisjoint(period):
             errors.append((
                 f"period {period!r}",
-                "period labels are chart text: no control character XML 1.0 cannot "
-                "hold (U+0001-U+0008, U+000B, U+000C, U+000E-U+001F)",
+                "period labels are chart text: no character XML 1.0 cannot hold "
+                "(U+0001-U+0008, U+000B, U+000C, U+000E-U+001F, U+FFFE, U+FFFF)",
             ))
         # "<label>.csv" may not exceed 255 bytes, the file-name limit of ext4,
         # xfs, btrfs and tmpfs

@@ -185,6 +185,8 @@ PARITY_TEXTS = texts(",".join(CSV_HEADER), 5) | plain_grids()
 @example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\n,,,,\na,v,1,x,5\n")
 # indicator 2 comes first in C order, but the first repeat is row 4's, of indicator 1
 @example(text=",".join(CSV_HEADER) + "\na,u,2,B,5\na,u,1,A,5\na,u,1,A,5\na,u,2,B,5\n")
+# the cut row's error, not the cells the rows before it leave missing
+@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\nb,v,2,y,5\na,u,1,x,z\n")
 def test_parse_panel_is_the_line_parser(text):
     _assert_parses_as_oracle(text)
 
@@ -216,17 +218,6 @@ def test_parse_panel_in_small_chunks_is_the_line_parser(text, chunk_chars):
     """Chunks of one "\\n" line (0 characters) and a few put renamed and
     duplicate rows in another chunk than the rows they repeat."""
     with mock.patch.object(panel_module, "_CHUNK_CHARS", chunk_chars):
-        _assert_parses_as_oracle(text)
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=PARITY_TEXTS)
-@example(text=",".join(CSV_HEADER) + "\na,u,2,B,5\na,u,1,A,5\na,u,1,A,5\na,u,2,B,5\n")
-@example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\nb,v,2,y,5\na,u,1,x,z\n")
-def test_parse_panel_by_cell_pairs_is_the_line_parser(text):
-    """Where the labels span more cells than an intp counts, each row's cell
-    is keyed as (period and unit, indicator): that path on every panel."""
-    with mock.patch.object(panel_module, "_MAX_CELLS", 0):
         _assert_parses_as_oracle(text)
 
 
@@ -277,10 +268,10 @@ def test_parse_synth_config(text):
 
 
 # Period labels in order, or else out of order, equal but for case, naming no
-# file, or holding a control character that no SVG chart can hold.
+# file, or holding a character that no SVG chart can hold.
 PERIODS = st.sampled_from([["2020"], ["2020", "2021"]]) | st.lists(
     st.sampled_from(["2020", "2021", "2022", "2020-a", "2020-A", "..", "a/b", "a\x00b",
-                     "a\x01b"]),
+                     "a\x01b", "a\ufffeb", "a\uffffb"]),
     min_size=1, max_size=3, unique=True,
 )
 

@@ -1,14 +1,17 @@
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
 import adaptometry as am
-from adaptometry.panel import PanelError, panel_csv_chunks, period_label_errors
+from adaptometry.panel import (
+    PanelError, _rows_by_cell, panel_csv_chunks, period_label_errors,
+)
 
 CHART_TEXT_RULE = (
-    "period labels are chart text: no control character XML 1.0 cannot hold "
-    "(U+0001-U+0008, U+000B, U+000C, U+000E-U+001F)"
+    "period labels are chart text: no character XML 1.0 cannot hold "
+    "(U+0001-U+0008, U+000B, U+000C, U+000E-U+001F, U+FFFE, U+FFFF)"
 )
 
 MINIMAL = "period,unit,indicator_id,indicator_name,value\n2009-08,West,1,economic regress,54\n"
@@ -80,15 +83,16 @@ class TestParse:
         assert str(exc.value) == "missing cell (period=p00000, unit=u0, indicator=1)"
         assert peak < 32 * 2**20
 
-    def test_labels_spanning_more_cells_than_an_intp_counts(self):
-        # 2,100,000 rows, each with a new period, unit and id, span 2.1e6**3 >
-        # 2**63 cells, so no cell has a position in an intp
-        text = "period,unit,indicator_id,indicator_name,value\n" + "".join(
-            f"p{k:07d},u{k},{k},x,5\n" for k in range(2_100_000)
-        )
-        with pytest.raises(PanelError) as exc:
-            am.parse_panel(text)
-        assert str(exc.value) == "missing cell (period=p0000000, unit=u0, indicator=1)"
+    def test_cells_past_what_an_intp_numbers_keep_their_order(self):
+        # labels spanning (2**31 - 1)**3 cells, far past 2**63: rows are ordered
+        # and keyed by (period and unit, indicator), never by cell position
+        n = 2**31 - 1
+        p, u, i = ([np.array(codes, np.int32)] for codes in
+                   ([n - 1, n - 1, 0, n - 1], [n - 1, 0, 5, n - 1], [0, 3, 2, n - 1]))
+        order, pu, ind = _rows_by_cell(p, u, i, n)
+        assert order.tolist() == [2, 1, 0, 3]
+        assert pu.tolist() == [5, (n - 1) * n, (n - 1) * n + n - 1, (n - 1) * n + n - 1]
+        assert ind.tolist() == [2, 3, 0, n - 1]
 
     def test_malformed_header(self):
         with pytest.raises(PanelError, match="header"):
@@ -274,16 +278,19 @@ class TestValidate:
 
     def test_period_label_xml_cannot_hold_is_error(self):
         # an SVG chart names each period; the label is refused before any is written
-        p = small_panel(n_periods=2)
-        labels = ("a\x01", "b\x1f")
+        p = small_panel(n_periods=4)
+        labels = ("a\x01", "b\x1f", "c\ufffe", "d\uffff")
         report = am.validate(am.IndicatorPanel(labels, p.units, p.indicators, p.values))
         assert report.errors == [(f"period {label!r}", CHART_TEXT_RULE) for label in labels]
 
     def test_period_label_control_characters(self):
-        # XML 1.0 holds tab, line feed and carriage return; NUL has its own rule
-        refused = [c for c in map(chr, range(1, 0x80)) if period_label_errors([f"a{c}b"])]
+        # XML 1.0 holds tab, line feed and carriage return, and every character
+        # past U+FFFF; NUL has its own rule. Strict UTF-8 decoding lets through
+        # no surrogate, so the scan skips them
+        chars = map(chr, chain(range(1, 0xD800), range(0xE000, 0x10000)))
+        refused = [c for c in chars if period_label_errors([f"a{c}b"])]
         assert refused == [*map(chr, range(1, 9)), "\x0b", "\x0c", *map(chr, range(0xE, 0x20)),
-                           "/", "\\"]
+                           "/", "\\", "\ufffe", "\uffff"]
 
     def test_single_unit_is_error(self):
         report = am.validate(am.parse_panel(MINIMAL))

@@ -161,6 +161,11 @@ _FILE_NAME_RULE = (
 
 _ORDER_RULE = "period labels not strictly increasing"
 
+_CHART_TEXT_RULE = (
+    "period labels are chart text: no character XML 1.0 cannot hold "
+    "(U+0001-U+0008, U+000B, U+000C, U+000E-U+001F, U+FFFE, U+FFFF)"
+)
+
 # Period labels analyze refuses, and the one error line synth gives for them:
 # the first of period_label_errors, which lists the file-name errors first
 BAD_LABELS = {
@@ -170,8 +175,9 @@ BAD_LABELS = {
     "slash": (("a/b", "z"), f"period 'a/b': {_FILE_NAME_RULE}"),
     "backslash": (("a\\b", "z"), f"period 'a\\\\b': {_FILE_NAME_RULE}"),
     "NUL": (("a\0b", "z"), f"period 'a\\x00b': {_FILE_NAME_RULE}"),
-    "control": (("a\x01b", "z"), "period 'a\\x01b': period labels are chart text: no control "
-                "character XML 1.0 cannot hold (U+0001-U+0008, U+000B, U+000C, U+000E-U+001F)"),
+    "control": (("a\x01b", "z"), f"period 'a\\x01b': {_CHART_TEXT_RULE}"),
+    "U+FFFE": (("a\ufffeb", "z"), f"period 'a\\ufffeb': {_CHART_TEXT_RULE}"),
+    "U+FFFF": (("a\uffffb", "z"), f"period 'a\\uffffb': {_CHART_TEXT_RULE}"),
     "two bad": (("", "a/b"), f"period '': {_FILE_NAME_RULE}"),
     "case": (("A", "a"), "period 'a': period labels 'A' and 'a' differ only in case, so their "
                          "output files collide on case-insensitive file systems"),
@@ -206,7 +212,7 @@ class TestPeriodLabels:
         config = tmp_path / "synth.cfg"
         config.write_text(TestParseConfig.TEXT.replace(
             "2020-01:baseline, 2020-06:stressed", f"{labels[0]}:baseline, {labels[1]}:stressed"
-        ))
+        ), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
