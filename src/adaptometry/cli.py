@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import PeriodResult, analyze
 from .correlation import DEFAULT_THRESHOLD
+from .dispersion import distance_matrix
 from .panel import PanelError, panel_csv_chunks, parse_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
@@ -144,10 +145,10 @@ def _run_analyze(args) -> None:
         _write(os.path.join(args.out, "matrices", name),
                matrix_csv_chunks("indicator_id", ids, net.matrix.values))
         _write(os.path.join(args.out, "distances", name),
-               matrix_csv_chunks("unit", units, result.dispersion.distance_matrix))
+               matrix_csv_chunks("unit", units, distance_matrix(result.slice)))
         records.append(_period_record(result))
         edges.append((net.matrix.indicator_ids, net.edge_a, net.edge_b, net.edge_weight))
-        # else this period's matrices live on while the next period's are built
+        # else this period's network lives on while the next period's is built
         del result, net
     if grouped_raw is not None:
         _write(os.path.join(args.out, "variation.csv"), (profile_to_csv(profile, flagged),))
@@ -182,7 +183,7 @@ def _run_analyze(args) -> None:
 
 
 def _period_record(result: PeriodResult) -> dict:
-    period, net, disp = result
+    period, net, disp, _ = result
     return {
         "period": period,
         "weight": net.total_weight,

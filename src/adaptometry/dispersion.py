@@ -21,8 +21,6 @@ from .writers import csv_field, matrix_csv_chunks
 @dataclass(frozen=True)
 class DispersionSummary:
     period: str
-    units: tuple[str, ...]
-    distance_matrix: np.ndarray  # (m, m), symmetric, zero diagonal
     d_max: float
     volume: float  # may be inf when the product overflows double range
     log_volume: float  # -inf when the volume is zero
@@ -62,7 +60,8 @@ def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
 
 def max_distance(slice_: PeriodSlice) -> float:
     """d_max without the distance matrix: ``distance_matrix(slice_).max()``,
-    bit for bit.
+    bit for bit; NaN where a coordinate is NaN or infinite, as inf - inf on
+    the matrix's diagonal makes it.
 
     A Gram-form screen bounds each pair's distance from one matrix product
     per block of rows, and only the pairs whose upper bound reaches the
@@ -76,6 +75,8 @@ def max_distance(slice_: PeriodSlice) -> float:
     m, n = pts.shape
     if m < 2:
         raise ValueError("need at least 2 units")
+    if np.isinf(pts).any():
+        return math.nan
     # Bounds on K**2, where K is distance_matrix's entry for rows a and b,
     # and T = |a - b|**2 exactly; u = 2**-53, g(k) = k*u / (1 - k*u).
     # - K rounds a subtraction, a square and a sqrt once each, and a sum of
@@ -181,7 +182,6 @@ def ball_diameter_from_log(log_volume: float, n: int) -> float:
 
 def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
     """All dispersion figures for one period."""
-    dm = distance_matrix(slice_)
     log_v = log_bounding_volume(slice_)
     try:
         volume = math.exp(log_v)
@@ -189,9 +189,7 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
         volume = math.inf
     return DispersionSummary(
         period=slice_.period,
-        units=slice_.units,
-        distance_matrix=dm,
-        d_max=float(dm.max()),
+        d_max=max_distance(slice_),
         volume=volume,
         log_volume=log_v,
         d_min=ball_diameter_from_log(log_v, slice_.n_indicators),
@@ -199,8 +197,8 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
     )
 
 
-def distances_to_csv(summary: DispersionSummary) -> str:
-    """Render the symmetric distance matrix as CSV with unit labels: the
+def distances_to_csv(slice_: PeriodSlice) -> str:
+    """Render the slice's distance matrix as CSV with unit labels: the
     text of writers.matrix_csv_chunks, in one string."""
-    labels = [csv_field(unit) for unit in summary.units]
-    return "".join(matrix_csv_chunks("unit", labels, summary.distance_matrix))
+    labels = [csv_field(unit) for unit in slice_.units]
+    return "".join(matrix_csv_chunks("unit", labels, distance_matrix(slice_)))

@@ -327,7 +327,9 @@ def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
     parse_panel reads one row per ``str.splitlines`` line and strips each
     field, so a label holding a line boundary (``\\n``, ``\\r``, ``\\x0b``,
     ``\\x85``, ``\\u2028``, ...) or starting or ending in whitespace raises
-    PanelError. It raises here, before the first piece is asked for.
+    PanelError. It raises here, before the first piece is asked for. It
+    drops a line that starts with ``#`` as a comment, so a period label that
+    starts with one is quoted (synth writes none: its config cuts at ``#``).
     """
     for label in (*panel.periods, *panel.units, *(ind.name for ind in panel.indicators)):
         if "".join(label.splitlines()).strip() != label:
@@ -335,7 +337,8 @@ def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
                 f"label {label!r} holds a line break or surrounding whitespace, "
                 "so parse_panel could not read it back"
             )
-    periods = [csv_field(period) for period in panel.periods]
+    # parse_panel drops a line starting with "#"; csv_field quotes no such field
+    periods = [f'"{f}"' if f.startswith("#") else f for f in map(csv_field, panel.periods)]
     units = [csv_field(unit) for unit in panel.units]
     indicators = [f",{ind.id},{csv_field(ind.name)}," for ind in panel.indicators]
     return chain([",".join(CSV_HEADER) + "\n"], (

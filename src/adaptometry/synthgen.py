@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .correlation import build_network, correlation_matrix
-from .dispersion import max_distance
-from .panel import Indicator, IndicatorPanel, period_label_errors, slice_period
+from .analysis import analyze
+from .panel import Indicator, IndicatorPanel, period_label_errors
 
 REGIMES = ("baseline", "stressed")
 
@@ -140,27 +140,18 @@ def stress_contrast(config: SynthConfig) -> StressContrast:
     """Generate a panel and compare indicators between the two regimes.
 
     Returns regime means of the network total weight, at the default
-    threshold, and of d_max; requires at least one baseline and one
-    stressed period. Each period's two figures equal those of ``analyze``
-    bit for bit: its network is built as ``analyze`` builds it, but no
-    distance matrix is, since max_distance screens the unit pairs.
+    threshold, and of d_max, over the periods of ``analyze``; requires at
+    least one baseline and one stressed period.
     """
     regimes = [regime for _, regime in config.periods]
     if "baseline" not in regimes or "stressed" not in regimes:
         raise SynthConfigError("need at least one baseline and one stressed period")
-    w = {"baseline": [], "stressed": []}
-    d = {"baseline": [], "stressed": []}
-    panel = generate_panel(config)
-    for regime, period in zip(regimes, panel.periods):
-        s = slice_period(panel, period)
-        w[regime].append(build_network(correlation_matrix(s)).total_weight)
-        d[regime].append(max_distance(s))
-    return StressContrast(
-        w_baseline=float(np.mean(w["baseline"])),
-        w_stressed=float(np.mean(w["stressed"])),
-        d_max_baseline=float(np.mean(d["baseline"])),
-        d_max_stressed=float(np.mean(d["stressed"])),
-    )
+    # map lets go of each period's result before the next is built
+    w, d_max = np.array(list(map(attrgetter("network.total_weight", "dispersion.d_max"),
+                                 analyze(generate_panel(config))))).T
+    stressed = np.array(regimes) == "stressed"
+    return StressContrast(*(float(np.mean(figure[regime]))
+                            for figure in (w, d_max) for regime in (~stressed, stressed)))
 
 
 def parse_synth_config(text: str) -> SynthConfig:

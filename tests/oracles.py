@@ -5,7 +5,9 @@ from the stdlib ``statistics`` module, distances and volumes from plain
 Python loops, and the ball diameter from non-log arithmetic with the exact
 half-integer gamma product. The panel oracle reads a file one line at a
 time, keeping each cell in a dict. The stress-contrast oracle is the one
-exception: it is the full ``analyze`` path that ``stress_contrast`` skips.
+exception: it builds each period's full network and full distance matrix
+with the library's kernels, a second path beside ``analyze``, whose d_max
+comes from ``max_distance``.
 Two CV oracles: ``oracle_cv`` in plain Python, equal to the library's within
 rounding, and ``oracle_cv_rowwise``, numpy on one 1-D row at a time, equal
 to it bit for bit.
@@ -17,9 +19,11 @@ import statistics
 
 import numpy as np
 
-from adaptometry.analysis import analyze
-from adaptometry.correlation import CorrelationMatrix
-from adaptometry.panel import CSV_HEADER, Indicator, IndicatorPanel, PanelError, zero_variance
+from adaptometry.correlation import CorrelationMatrix, build_network, correlation_matrix
+from adaptometry.dispersion import distance_matrix
+from adaptometry.panel import (
+    CSV_HEADER, Indicator, IndicatorPanel, PanelError, slice_period, zero_variance,
+)
 from adaptometry.synthgen import StressContrast, SynthConfigError, generate_panel
 
 
@@ -51,12 +55,14 @@ def oracle_pearson(x, y) -> float:
 
 def oracle_stress_contrast(config) -> StressContrast:
     """Regime means of each period's network total_weight and d_max, from
-    the full networks and distance matrices that ``analyze`` builds."""
+    the full network and the full distance matrix of each period."""
     w = {"baseline": [], "stressed": []}
     d = {"baseline": [], "stressed": []}
-    for (_, regime), result in zip(config.periods, analyze(generate_panel(config))):
-        w[regime].append(result.network.total_weight)
-        d[regime].append(result.dispersion.d_max)
+    panel = generate_panel(config)
+    for period, regime in config.periods:
+        s = slice_period(panel, period)
+        w[regime].append(build_network(correlation_matrix(s)).total_weight)
+        d[regime].append(float(distance_matrix(s).max()))
     return StressContrast(
         w_baseline=float(np.mean(w["baseline"])),
         w_stressed=float(np.mean(w["stressed"])),

@@ -1,6 +1,8 @@
 """The per-period pipeline against the brute-force oracles, and the views
 that read it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def test_every_period_matches_oracles(panel, exclude):
     reduced = am.exclude_indicators(panel, exclude)
     results = list(am.analyze(panel, exclude=exclude))
     assert [r.period for r in results] == list(panel.periods)
-    for rows, (period, network, dispersion) in zip(reduced.values.tolist(), results):
+    for rows, (period, network, dispersion, _) in zip(reduced.values.tolist(), results):
         assert network.total_weight == pytest.approx(oracle_total_weight(rows), rel=1e-12)
         d_max = max(oracle_distance(u, v) for u in rows for v in rows)
         assert dispersion.d_max == pytest.approx(d_max, rel=1e-12)
@@ -34,6 +36,31 @@ def test_series_are_views_of_analyze(panel):
     assert [(d.period, d.d_max, d.d_min) for d in series] == [
         (r.period, r.dispersion.d_max, r.dispersion.d_min) for r in results
     ]
+
+
+def test_results_hold_no_unit_by_unit_matrix():
+    # the peak of all the results of 4 periods of 400 x 20 against those of
+    # the first period alone, within less than one 400 x 400 matrix
+    m = 400
+    config = am.SynthConfig(
+        units=m, indicators=20,
+        periods=tuple((f"2020-0{k}", ("baseline", "stressed")[k % 2]) for k in range(1, 5)),
+        baseline_means=(50.0,) * 20, noise_sd=4.0, loading_baseline=0.0,
+        loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+    )
+    panel = am.generate_panel(config)
+    first = am.IndicatorPanel(panel.periods[:1], panel.units, panel.indicators, panel.values[:1])
+    peaks = {}
+    for name, p in (("four", panel), ("first", first)):
+        tracemalloc.start()
+        try:
+            results = list(am.analyze(p))
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == p.n_periods
+        del results
+    assert peaks["four"] < peaks["first"] + m * m * 8
 
 
 def test_threshold_reaches_every_network(panel):

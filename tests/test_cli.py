@@ -811,8 +811,8 @@ class TestMemory:
 def _old_report_json(doc: dict, results) -> str:
     """The report.json writer before edges were formatted by hand: the reference."""
     doc = copy.deepcopy(doc)
-    for record, (_, net, _) in zip(doc["periods"], results, strict=True):
-        record["edges"] = [{"i": e.i, "j": e.j, "abs_r": e.weight} for e in net.edges]
+    for record, result in zip(doc["periods"], results, strict=True):
+        record["edges"] = [{"i": e.i, "j": e.j, "abs_r": e.weight} for e in result.network.edges]
     return json.dumps(doc, indent=2) + "\n"
 
 

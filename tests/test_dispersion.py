@@ -155,8 +155,7 @@ class TestDistanceMatrix:
         assert peak < m * m * 8 + 4 * 2**20
 
     def test_csv_export(self, panel):
-        summary = dispersion_summary(am.slice_period(panel, "2009-08"))
-        lines = distances_to_csv(summary).splitlines()
+        lines = distances_to_csv(am.slice_period(panel, "2009-08")).splitlines()
         assert lines[0] == "unit,West,Centre,North,East,South,Donbas"
         assert lines[1].split(",")[1] == "0.00"
 
@@ -294,6 +293,15 @@ class TestMaxDistance:
     def test_single_unit_is_error(self):
         with pytest.raises(ValueError, match="need at least 2 units"):
             max_distance(random_slice(0, m=1))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coordinate_gives_nan(self, bad):
+        # inf - inf on the matrix's diagonal makes its maximum NaN
+        s = points_slice(np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]]))
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(exact_d_max(s))
+        assert math.isnan(max_distance(s))
+        assert math.isnan(dispersion_summary(s).d_max)
 
     def test_no_indicators(self):
         assert max_distance(am.PeriodSlice("p", ("a", "b"), (), np.empty((2, 0)))) == 0.0
@@ -460,8 +468,9 @@ class TestDispersionSeries:
         assert series[0].d_max == am.distance_matrix(s).max()
 
     def test_summary_invariants(self, panel):
-        for summary in [r.dispersion for r in am.analyze(panel)]:
-            assert summary.d_max == summary.distance_matrix.max()
+        for r in am.analyze(panel):
+            summary = r.dispersion
+            assert summary.d_max == am.distance_matrix(r.slice).max()
             assert (summary.d_min == 0.0) == (summary.volume == 0.0)
             assert summary.d_min >= 0.0
 
@@ -474,7 +483,7 @@ class TestScalingAndPermutation:
         c = float(rng.uniform(0.2, 5.0))
         scaled = am.PeriodSlice(s.period, s.units, s.indicator_ids, c * s.matrix)
         base, big = dispersion_summary(s), dispersion_summary(scaled)
-        assert np.allclose(big.distance_matrix, c * base.distance_matrix, rtol=1e-9)
+        assert np.allclose(am.distance_matrix(scaled), c * am.distance_matrix(s), rtol=1e-9)
         assert big.d_max == pytest.approx(c * base.d_max, rel=1e-9)
         assert big.d_min == pytest.approx(c * base.d_min, rel=1e-9)
 

@@ -21,7 +21,7 @@ from adaptometry import panel as panel_module
 from adaptometry import writers
 from adaptometry.cli import _period_record, _report_json
 from adaptometry.correlation import CorrelationMatrix, correlation_matrix, matrix_to_csv
-from adaptometry.dispersion import DispersionSummary, dispersion_summary, distances_to_csv
+from adaptometry.dispersion import distance_matrix, distances_to_csv
 from adaptometry.panel import PanelError
 from adaptometry.synthgen import SynthConfig, generate_panel
 from adaptometry.writers import csv_field, float_reprs, matrix_csv_chunks
@@ -57,8 +57,7 @@ class TestWriters:
         )
 
     def test_distances_to_csv(self, quoted_panel):
-        summary = dispersion_summary(am.slice_period(quoted_panel, "2020-01"))
-        assert distances_to_csv(summary) == (
+        assert distances_to_csv(am.slice_period(quoted_panel, "2020-01")) == (
             'unit,A,"B, ""the"" C",D\n'
             "A,0.00,50.50,20.00\n"
             '"B, ""the"" C",50.50,0.00,50.40\n'
@@ -79,11 +78,21 @@ class TestWriters:
         )
 
     def test_roundtrip_quoted_labels(self, quoted_panel):
-        again = am.parse_panel(am.serialize_panel(quoted_panel))
-        assert again.periods == quoted_panel.periods
-        assert again.units == quoted_panel.units
-        assert again.indicators == quoted_panel.indicators
-        assert np.array_equal(again.values, quoted_panel.values)
+        # parse_panel drops a line that starts with "#", so such a period is quoted
+        hashed = [
+            dataclasses.replace(quoted_panel, periods=(period,))
+            for period in ("#1", "#", '#"q"', "#a,b", "##")
+        ]
+        hashed.append(dataclasses.replace(
+            quoted_panel, periods=("#1", "#2"), values=np.concatenate([quoted_panel.values] * 2)
+        ))
+        for panel in (quoted_panel, *hashed):
+            again = am.parse_panel(am.serialize_panel(panel))
+            assert again.periods == panel.periods
+            assert again.units == panel.units
+            assert again.indicators == panel.indicators
+            assert np.array_equal(again.values, panel.values)
+        assert am.serialize_panel(hashed[0]).splitlines()[1] == '"#1",A,1,alpha,10'
 
     @pytest.mark.parametrize("field", ["period", "unit", "name"])
     @pytest.mark.parametrize(
@@ -304,12 +313,14 @@ def _old_matrix_to_csv(matrix: CorrelationMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _old_distances_to_csv(summary: DispersionSummary) -> str:
-    """distances_to_csv before the shared fixed-decimal formatter: the reference."""
-    fmt = ",%.2f" * len(summary.units)
-    labels = [csv_field(unit) for unit in summary.units]
+def _old_distances_to_csv(values) -> str:
+    """distances_to_csv before the shared fixed-decimal formatter, on the
+    units of _units: the reference."""
+    values = np.asarray(values, dtype=float)
+    fmt = ",%.2f" * len(values)
+    labels = [csv_field(unit) for unit in _units(len(values))]
     lines = [",".join(["unit", *labels])]
-    for label, row in zip(labels, summary.distance_matrix):
+    for label, row in zip(labels, values):
         lines.append(label + fmt % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
@@ -319,10 +330,16 @@ def _matrix(values) -> CorrelationMatrix:
     return CorrelationMatrix(tuple(range(1, len(values) + 1)), values, ())
 
 
-def _summary(values) -> DispersionSummary:
+def _units(m: int) -> tuple[str, ...]:
+    return tuple(f"u{k}" if k % 2 else f'"u,{k}"' for k in range(m))
+
+
+def _distances_csv(values) -> str:
+    """The distance CSV of ``values`` as a matrix over the units of _units:
+    the text the CLI writes, in one string."""
     values = np.asarray(values, dtype=float)
-    units = tuple(f"u{k}" if k % 2 else f'"u,{k}"' for k in range(len(values)))
-    return DispersionSummary("p", units, values, 0.0, 0.0, 0.0, 0.0, 1)
+    labels = [csv_field(unit) for unit in _units(len(values))]
+    return "".join(matrix_csv_chunks("unit", labels, values))
 
 
 def _rolled(values) -> np.ndarray:
@@ -357,11 +374,11 @@ class TestWritersMatchOldWriters:
             block = rows_per_block * len(matrix)
             monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", block)
         assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
-        assert distances_to_csv(_summary(matrix)) == _old_distances_to_csv(_summary(matrix))
+        assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
 
     def test_every_special_value_at_once(self):
         matrix = _rolled(TIES + SIGNS + HUGE)
-        assert distances_to_csv(_summary(matrix)) == _old_distances_to_csv(_summary(matrix))
+        assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
         matrix[::3, 1::2] = np.nan
         assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
 
@@ -370,25 +387,25 @@ class TestWritersMatchOldWriters:
         assert matrix_to_csv(matrix) == _old_matrix_to_csv(matrix) == (
             "indicator_id,1,2\n1,1.00,-0.00\n2,,0.12\n"
         )
-        summary = _summary([[0.0, 2.675], [2.675, -1e-9]])
-        assert distances_to_csv(summary) == _old_distances_to_csv(summary) == (
+        distances = [[0.0, 2.675], [2.675, -1e-9]]
+        assert _distances_csv(distances) == _old_distances_to_csv(distances) == (
             'unit,"""u,0""",u1\n"""u,0""",0.00,2.67\nu1,2.67,-0.00\n'
         )
 
     def test_one_entry_per_block(self, monkeypatch):
         monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", 1)
         assert matrix_to_csv(_matrix([[0.375]])) == "indicator_id,1\n1,0.38\n"
-        assert distances_to_csv(_summary([[-0.0]])) == 'unit,"""u,0"""\n"""u,0""",-0.00\n'
+        assert _distances_csv([[-0.0]]) == 'unit,"""u,0"""\n"""u,0""",-0.00\n'
 
     def test_pieces_are_the_header_then_each_block(self, monkeypatch):
         # 5 rows in blocks of 2 rows: the largest piece is one block, not the file
         monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", 2 * 5)
         matrix = _rolled(TIES[:5])
         ids = [str(i) for i in _matrix(matrix).indicator_ids]
-        units = [csv_field(unit) for unit in _summary(matrix).units]
+        units = [csv_field(unit) for unit in _units(len(matrix))]
         for pieces, old in (
             (matrix_csv_chunks("indicator_id", ids, matrix), _old_matrix_to_csv(_matrix(matrix))),
-            (matrix_csv_chunks("unit", units, matrix), _old_distances_to_csv(_summary(matrix))),
+            (matrix_csv_chunks("unit", units, matrix), _old_distances_to_csv(matrix)),
         ):
             pieces = list(pieces)
             assert [piece.count("\n") for piece in pieces] == [1, 2, 2, 1]
@@ -396,7 +413,7 @@ class TestWritersMatchOldWriters:
 
     def test_nan_distance_is_an_empty_field(self):
         # the old distance writer wrote "nan"; no distance of a valid panel is NaN
-        assert distances_to_csv(_summary([[0.0, np.nan], [np.nan, 0.0]])) == (
+        assert _distances_csv([[0.0, np.nan], [np.nan, 0.0]]) == (
             'unit,"""u,0""",u1\n"""u,0""",0.00,\nu1,,0.00\n'
         )
 
@@ -418,7 +435,7 @@ class TestWritersMatchOldWriters:
         matrix = values.reshape(size, size)
         nan = np.array(data.draw(st.lists(st.booleans(), min_size=size**2, max_size=size**2)))
         with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
-            assert distances_to_csv(_summary(matrix)) == _old_distances_to_csv(_summary(matrix))
+            assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
             matrix[nan.reshape(size, size)] = np.nan
             assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
 
@@ -447,7 +464,7 @@ def test_one_block_size_cuts_every_chunked_writer(block):
             "matrix": list(matrix_csv_chunks("indicator_id", ids,
                                              results[0].network.matrix.values)),
             "distances": list(matrix_csv_chunks("unit", units,
-                                                results[0].dispersion.distance_matrix)),
+                                                distance_matrix(results[0].slice))),
             "report.json": list(_report_json(doc, [
                 (r.network.matrix.indicator_ids, r.network.edge_a, r.network.edge_b,
                  r.network.edge_weight) for r in results
