@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
