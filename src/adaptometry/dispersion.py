@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .panel import PeriodSlice
-from .writers import csv_field, matrix_csv_chunks
+from .writers import blocks, csv_field, matrix_csv_chunks
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,15 @@ class DispersionSummary:
 _BLOCK_ELEMENTS = 2**16
 
 
+def _exact_distances(block: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Exact distances from each row of ``block`` to each row of ``others``,
+    one sum of squared differences over the indicator axis per entry: the
+    one form every distance in this module is computed in."""
+    diff = block[:, None, :] - others[None, :, :]
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(diff.sum(axis=2))
+
+
 def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
     """All pairwise unit distances over the slice's indicators.
 
@@ -47,14 +56,10 @@ def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
     if m < 2:
         raise ValueError("need at least 2 units")
     out = np.empty((m, m))
-    rows = max(1, _BLOCK_ELEMENTS // max(m * n, 1))
-    for s in range(0, m, rows):
-        e = min(s + rows, m)
-        diff = pts[s:e, None, :] - pts[None, s:, :]
-        np.multiply(diff, diff, out=diff)
-        block = np.sqrt(diff.sum(axis=2))
-        out[s:e, s:] = block
-        out[s:, s:e] = block.T
+    for rows in blocks(m, m * n, _BLOCK_ELEMENTS):
+        block = _exact_distances(pts[rows], pts[rows.start:])
+        out[rows, rows.start:] = block
+        out[rows.start:, rows] = block.T
     return out
 
 
@@ -64,19 +69,19 @@ def max_distance(slice_: PeriodSlice) -> float:
     the matrix's diagonal makes it.
 
     A Gram-form screen bounds each pair's distance from one matrix product
-    per block of rows, and only the pairs whose upper bound reaches the
-    largest lower bound seen are recomputed, as distance_matrix computes
-    them. A block with a bound that is not finite (squares that overflow) is
-    recomputed whole, so at worst every pair is recomputed, in blocks of
-    pairs rather than one at a time. Memory is a few temporaries of at most
+    per block of rows. Only the rows whose largest upper bound reaches the
+    largest lower bound seen are recomputed, by distance_matrix's kernel,
+    each against the rows from its block's first on: the farthest pair's
+    first row is among them, and each distance is an entry of the matrix.
+    A block with a bound that is not finite (squares that overflow, or a
+    NaN or inf) has all its rows recomputed, so at worst the matrix's upper
+    triangle is. Memory is a few temporaries of at most
     max(_BLOCK_ELEMENTS, m, n) doubles.
     """
     pts = slice_.matrix
     m, n = pts.shape
     if m < 2:
         raise ValueError("need at least 2 units")
-    if np.isinf(pts).any():
-        return math.nan
     # Bounds on K**2, where K is distance_matrix's entry for rows a and b,
     # and T = |a - b|**2 exactly; u = 2**-53, g(k) = k*u / (1 - k*u).
     # - K rounds a subtraction, a square and a sqrt once each, and a sum of
@@ -93,36 +98,30 @@ def max_distance(slice_: PeriodSlice) -> float:
     #   2.5 n * 2**-1074 in all, which (n + 1) * 2**-1071 covers 3 times over.
     scale = 8 * (n + 4) * 2.0**-53
     underflow = (n + 1) * 2.0**-1071
-    best = 0.0
     largest_low = -np.inf
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))  # pairs per recheck block
+    reach = np.empty(m)  # each row's largest upper bound on K**2
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", pts, pts)
-        rows = max(1, _BLOCK_ELEMENTS // m)
-        for s in range(0, m, rows):
-            e = min(s + rows, m)
-            # rows s..e-1 against columns s..m-1, of which the pairs i < j count
-            approx = pts[s:e] @ pts[s:].T
+        for rows in blocks(m, m, _BLOCK_ELEMENTS):
+            # the rows against the columns from their first on: pairs i < j count
+            approx = pts[rows] @ pts[rows.start:].T
             approx *= -2.0
-            width = norms[s:e, None] + norms[None, s:]
+            width = norms[rows, None] + norms[None, rows.start:]
             approx += width
             width *= scale
             width += underflow
             if np.isfinite(approx).all() and np.isfinite(width).all():
                 largest_low = max(largest_low, float((approx - width).max()))
                 approx += width
-                pick = approx >= largest_low
+                reach[rows] = approx.max(axis=1)
             else:
-                pick = np.ones(approx.shape, dtype=bool)
+                reach[rows] = np.inf
             del approx, width
-            a, b = np.nonzero(np.triu(pick, 1))
-            a += s
-            b += s
-            for k in range(0, a.size, step):
-                diff = pts[a[k:k + step]]
-                diff -= pts[b[k:k + step]]
-                diff *= diff
-                best = np.maximum(best, np.sqrt(diff.sum(axis=1)).max())
+        picked = np.flatnonzero(reach >= largest_low)
+        best = 0.0
+        for block in blocks(len(picked), m * n, _BLOCK_ELEMENTS):
+            rows = picked[block]
+            best = np.maximum(best, _exact_distances(pts[rows], pts[rows[0]:]).max())
     return float(best)
 
 

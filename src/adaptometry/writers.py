@@ -118,8 +118,8 @@ def float_reprs(values: np.ndarray) -> list[str]:
     ends, an exact tie, a nearest multiple outside (the other one is shortest).
     """
     flat = np.asarray(values, dtype=float).ravel()
-    passes = range(0, flat.size, _REPR_PASS)
-    return list(chain.from_iterable(_repr_pass(flat[s:s + _REPR_PASS]) for s in passes))
+    passes = blocks(flat.size, 1, _REPR_PASS)
+    return list(chain.from_iterable(_repr_pass(flat[rows]) for rows in passes))
 
 
 def _repr_pass(values: np.ndarray) -> list[str]:

@@ -171,10 +171,10 @@ def exact_d_max(s):
 
 
 class TestDistanceEntryForms:
-    """max_distance recomputes a pair as the row of a contiguous (k, n) block
-    of differences, while distance_matrix sums the rows of an (r, m, n)
-    block; both add a contiguous row of n squares in numpy's order, which is
-    also the order of the 1-D sum."""
+    """distance_matrix, and max_distance's recheck through the same kernel,
+    sum the rows of an (r, k, n) block of differences; each adds a contiguous
+    row of n squares in numpy's order, which is also the order of the 1-D
+    sum."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -321,6 +321,37 @@ class TestMaxDistance:
         finally:
             tracemalloc.stop()
         assert peak < 10 * dispersion_module._BLOCK_ELEMENTS * 8
+
+    def kernel_calls(self, function, s):
+        """The (block, others) shapes that ``function(s)`` hands the exact kernel."""
+        kernel = dispersion_module._exact_distances
+        with mock.patch.object(dispersion_module, "_exact_distances", wraps=kernel) as spy:
+            function(s)
+        return [(c.args[0].shape[0], c.args[1].shape[0]) for c in spy.call_args_list]
+
+    SHAPES = {"tall": (400, 20, 4), "synth": (300, 150, 4), "wide": (60, 300, 2)}
+
+    @pytest.mark.parametrize("m,n,periods", SHAPES.values(), ids=SHAPES.keys())
+    def test_screen_skips_rows(self, m, n, periods):
+        # the benchmark's panel shapes at seed 1: 1 or 2 rows need a recheck
+        config = am.SynthConfig(
+            units=m, indicators=n,
+            periods=tuple((f"2020-{p + 1:02d}", ("baseline", "stressed")[p % 2]) for p in range(periods)),
+            baseline_means=(50.0,) * n, noise_sd=4.0, loading_baseline=0.0,
+            loading_stressed=15.0, variance_multiplier=2.0, seed=1,
+        )
+        panel = am.generate_panel(config)
+        for period in panel.periods:
+            calls = self.kernel_calls(max_distance, am.slice_period(panel, period))
+            assert 1 <= sum(rows for rows, _ in calls) <= 4
+
+    @pytest.mark.parametrize("m,n", [(300, 4), (120, 100)])
+    def test_tied_units_recompute_no_more_than_the_matrix(self, m, n):
+        # every bound ties, so every row is rechecked, as the matrix walks them
+        s = points_slice(np.full((m, n), 7.0))
+        entries = {f: sum(r * k for r, k in self.kernel_calls(f, s))
+                   for f in (max_distance, am.distance_matrix)}
+        assert entries[max_distance] <= entries[am.distance_matrix]
 
 
 class TestBoundingVolume:
