@@ -76,7 +76,7 @@ def max_distance(slice_: PeriodSlice) -> float:
     A block with a bound that is not finite (squares that overflow, or a
     NaN or inf) has all its rows recomputed, so at worst the matrix's upper
     triangle is. Memory is a few temporaries of at most
-    max(_BLOCK_ELEMENTS, m, n) doubles.
+    max(_BLOCK_ELEMENTS, m * n, m) doubles.
     """
     pts = slice_.matrix
     m, n = pts.shape
