@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .writers import _REPR_PASS, blocks, csv_field, float_reprs
+from .writers import blocks, csv_field, float_reprs
 
 CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 
@@ -320,9 +320,9 @@ def serialize_panel(panel: IndicatorPanel) -> str:
 def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
     """The long-format CSV of the panel in pieces: the header, then one text
     per block of whole units of one period (writers.blocks, a cell per
-    entry). A value reads as an integer where it is one, else as ``repr``
-    writes it, the shortest text that reads back as it (float_reprs: exact
-    numpy digits from 1e-2 to 1e15, repr elsewhere).
+    entry), each formatted in one pass. A value reads as an integer where it
+    is one, else as ``repr`` writes it, the shortest text that reads back as
+    it (float_reprs: exact numpy digits from 1e-2 to 1e15, repr elsewhere).
 
     parse_panel reads one row per ``str.splitlines`` line and strips each
     field, so a label holding a line boundary (``\\n``, ``\\r``, ``\\x0b``,
@@ -350,22 +350,19 @@ def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
 
 def _panel_block(prefixes: list[str], indicators: list[str], block: np.ndarray) -> str:
     """The rows of a units x indicators block, one per cell, each line
-    ``prefix,id,name,value``: four texts per line, joined one pass of whole
-    units (at most _REPR_PASS cells, or one unit) at a time, then the passes
-    joined, so only one pass's texts are held at once."""
-    passes = []
-    for rows in blocks(len(prefixes), len(indicators), _REPR_PASS):
-        flat, heads = block[rows].ravel(), prefixes[rows]
-        texts = ["\n"] * (4 * flat.size)
-        texts[0::4] = [prefix for prefix in heads for _ in indicators]
-        texts[1::4] = indicators * len(heads)
-        texts[2::4] = float_reprs(flat)
-        # float.is_integer, vectorized: finite and integral
-        whole = np.flatnonzero(np.isfinite(flat) & (flat == np.trunc(flat)))
-        for k, v in zip(whole.tolist(), flat[whole].tolist()):
-            texts[4 * k + 2] = str(int(v))
-        passes.append("".join(texts))
-    return "".join(passes)
+    ``prefix,id,name,value``: four texts per line, joined in one go. The
+    block is whole units, one writers.blocks block of cells (or one unit), so
+    only one block's texts are held at once."""
+    flat = block.ravel()
+    texts = ["\n"] * (4 * flat.size)
+    texts[0::4] = [prefix for prefix in prefixes for _ in indicators]
+    texts[1::4] = indicators * len(prefixes)
+    texts[2::4] = float_reprs(flat)
+    # float.is_integer, vectorized: finite and integral
+    whole = np.flatnonzero(np.isfinite(flat) & (flat == np.trunc(flat)))
+    for k, v in zip(whole.tolist(), flat[whole].tolist()):
+        texts[4 * k + 2] = str(int(v))
+    return "".join(texts)
 
 
 def validate(panel: IndicatorPanel) -> ValidationReport:

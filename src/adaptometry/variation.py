@@ -90,14 +90,15 @@ def coefficient_of_variation(values: Sequence[float], estimator: str = "sample")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise VariationError("need at least 2 values")
-    (cv,), (error,) = _row_cvs(x[None], estimator)
+    cvs, (error,) = _row_cvs(x[None])
     if error:
         raise VariationError(error)
-    return cv
+    return cvs[estimator][0]
 
 
-def _row_cvs(rows: np.ndarray, estimator: str) -> tuple[list[float], list[str | None]]:
-    """Each row's CV, and None or why it is undefined (a mean <= 0)."""
+def _row_cvs(rows: np.ndarray) -> tuple[dict[str, list[float]], list[str | None]]:
+    """Each row's CV by each estimator, from one sum of squares, and None or
+    why it is undefined (a mean <= 0)."""
     # a CV does not depend on a row's scale, so each row is scaled by a power
     # of two to a max |value| in [0.5, 1), as correlation_matrix scales its
     # columns: its sum cannot overflow nor its squares underflow, and a CV
@@ -106,10 +107,9 @@ def _row_cvs(rows: np.ndarray, estimator: str) -> tuple[list[float], list[str | 
     scaled = np.ldexp(rows, -exponent[:, None])
     mean = scaled.mean(axis=1)
     ss = ((scaled - mean[:, None]) ** 2).sum(axis=1)
-    if estimator == "sample":
-        ss /= rows.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):  # a mean of 0 is an error
-        cvs = (np.sqrt(ss) / mean).tolist()
+        cvs = {"sample": (np.sqrt(ss / (rows.shape[1] - 1)) / mean).tolist(),
+               "unnormalized": (np.sqrt(ss) / mean).tolist()}
     return cvs, [f"mean {unscaled} <= 0, CV undefined" if m <= 0.0 else None
                  for m, unscaled in zip(mean.tolist(), np.ldexp(mean, exponent).tolist())]
 
@@ -125,15 +125,13 @@ def variation_table(
     """CV per indicator over the group columns, both estimators, ranked."""
     if estimator not in ESTIMATORS:
         raise VariationError(f"unknown estimator {estimator!r}")
-    sample, errors = _row_cvs(table.values, "sample")
-    unnormalized, _ = _row_cvs(table.values, "unnormalized")
+    cvs, errors = _row_cvs(table.values)
     ids = table.indicator_ids
-    cv_sample = {i: cv for i, cv, e in zip(ids, sample, errors) if e is None}
-    cv_unnorm = {i: cv for i, cv, e in zip(ids, unnormalized, errors) if e is None}
-    selected = cv_sample if estimator == "sample" else cv_unnorm
+    scores = {name: {i: cv for i, cv, e in zip(ids, row, errors) if e is None}
+              for name, row in cvs.items()}
     return VariationProfile(
-        estimator=estimator, cv_sample=cv_sample, cv_unnormalized=cv_unnorm,
-        ranking=rank_by_score(selected),
+        estimator=estimator, cv_sample=scores["sample"], cv_unnormalized=scores["unnormalized"],
+        ranking=rank_by_score(scores[estimator]),
         errors=[(i, e) for i, e in zip(ids, errors) if e is not None],
     )
 

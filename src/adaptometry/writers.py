@@ -10,12 +10,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Entries in one block of each writer that formats in blocks (see blocks):
-# the rows of matrix_csv_chunks, the units of panel_csv_chunks (cells) and the
-# edges of report.json. On a 400 x 400 matrix, blocks of 2**14 were as fast as
-# 2**16 and held a quarter of the temporaries: 0.9 MiB at peak beyond the
-# result, against 3.3.
-_FORMAT_BLOCK_ELEMENTS = 2**14
+# Entries in one block of every text writer (see blocks): the rows of
+# matrix_csv_chunks, the units of panel_csv_chunks (cells), the edges of
+# report.json, and each pass of float_reprs. At 2**14, draining panel.csv of a
+# 300 x 150 x 4 synth panel peaked at 3.83 MiB under tracemalloc (1.91 at
+# 2**13), and float_reprs of 2**14 values held 1.54 times what their
+# float.__repr__ texts hold (1.12); at 2**12, the matrix CSVs of 4 periods of
+# 400 units and 20 indicators took 1.25 times as long as at 2**13.
+_FORMAT_BLOCK_ELEMENTS = 2**13
 
 # _fixed_decimal_block rounds y = |x| * 100 in numpy only where y < 2**31.
 # 100 is an exact double, so y is the exact product Y rounded once to nearest;
@@ -27,8 +29,7 @@ _FORMAT_BLOCK_ELEMENTS = 2**14
 _FAST_LIMIT = 2.0**31
 _TIE_MARGIN = 1e-6
 
-# Values per pass of float_reprs, and the powers of ten it scales by
-_REPR_PASS = 2**12
+# The powers of ten float_reprs scales by
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
@@ -104,7 +105,8 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
 
 def float_reprs(values: np.ndarray) -> list[str]:
     """``[float.__repr__(v) for v in values.tolist()]`` for a float64 array,
-    from exact numpy digits where 1e-2 <= v < 1e15, _REPR_PASS values at a time.
+    from exact numpy digits where 1e-2 <= v < 1e15, one block of values at a
+    time (see blocks), so a call on any size holds one block's temporaries.
 
     There repr is positional and V = v * 10**s is in [1e16, 1e17), s = 16 -
     floor(log10 v); Dekker's product with the exact double 10**s gives floor(V)
@@ -118,8 +120,7 @@ def float_reprs(values: np.ndarray) -> list[str]:
     ends, an exact tie, a nearest multiple outside (the other one is shortest).
     """
     flat = np.asarray(values, dtype=float).ravel()
-    passes = blocks(flat.size, 1, _REPR_PASS)
-    return list(chain.from_iterable(_repr_pass(flat[rows]) for rows in passes))
+    return list(chain.from_iterable(_repr_pass(flat[rows]) for rows in blocks(flat.size, 1)))
 
 
 def _repr_pass(values: np.ndarray) -> list[str]:

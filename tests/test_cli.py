@@ -883,7 +883,7 @@ class TestReportJson:
 
     def test_more_edges_than_a_block(self):
         # 190 indicators driven by one factor: 17,955 edges with varied weights,
-        # two blocks of edges at the default block size
+        # three blocks of edges at the default block size
         rng = np.random.default_rng(5)
         factor = rng.normal(0.0, 10.0, (20, 1))
         values = 50.0 + factor * rng.uniform(0.5, 1.5, 190) + rng.normal(0.0, 2.0, (20, 190))
@@ -892,6 +892,32 @@ class TestReportJson:
         doc = _doc(results, threshold=0.7)
         text = "".join(_report_json(doc, _edges(results)))
         assert text == _old_report_json(doc, results)
+
+    def test_edges_hold_one_block_of_texts(self):
+        # the network of test_more_edges_than_a_block, 1.67 MiB of edge text; a
+        # for loop holds each piece while the next is built. With float_reprs
+        # cutting each block of 2**14 edges into passes, the peak was 1.89
+        # times the text
+        rng = np.random.default_rng(5)
+        factor = rng.normal(0.0, 10.0, (20, 1))
+        values = 50.0 + factor * rng.uniform(0.5, 1.5, 190) + rng.normal(0.0, 2.0, (20, 190))
+        (edges,) = _edges(am.analyze(_panel(("p",), values[None]), 0.7))
+
+        def drain():
+            length = 0
+            for piece in cli_module._edges_json(*edges):
+                length += len(piece)
+            return length
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            length = drain()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert edges[3].size == 17955
+        assert peak <= 1.6 * length
 
     def test_report_builds_no_edge_tuples(self, panel):
         results = list(am.analyze(panel, 0.7))

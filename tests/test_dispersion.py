@@ -233,7 +233,7 @@ class TestMaxDistance:
         assert dispersion_summary(s).d_max == 0.0
         assert max_distance(s) == 0.0
 
-    # a block of 1 element holds one row of the screen and one recheck pair
+    # a block of 1 element holds one row of the screen and one recheck row
     @settings(max_examples=300, deadline=None)
     @given(points=unit_points(),
            block=st.sampled_from((dispersion_module._BLOCK_ELEMENTS, 1, 5, 40)))

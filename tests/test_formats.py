@@ -183,11 +183,9 @@ class TestPanelWriterMatchesOldWriter:
 
     @pytest.mark.parametrize("cells_per_pass", [1, 4, 7, 8, 12])
     def test_passes_of_whole_units(self, cells_per_pass, monkeypatch):
-        # each block's lines are joined one pass of whole units at a time: 4
-        # indicators per unit, so 1, 4 and 7 cells give one unit a pass, 8 two
-        # and 12 three, in blocks of 5 units and 1
-        monkeypatch.setattr(panel_module, "_REPR_PASS", cells_per_pass)
-        monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", 5 * 4)
+        # each block of whole units is formatted in one pass: 4 indicators per
+        # unit, so 1, 4 and 7 cells give one unit a pass, 8 two and 12 three
+        monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", cells_per_pass)
         panel = _special_panel(6)
         assert am.serialize_panel(panel) == _old_serialize_panel(panel)
 

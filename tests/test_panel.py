@@ -1,10 +1,14 @@
+import dataclasses
 import tracemalloc
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import adaptometry as am
+from adaptometry import panel as panel_module
+from adaptometry import writers
 from adaptometry.panel import (
     PanelError, _rows_by_cell, panel_csv_chunks, period_label_errors,
 )
@@ -440,6 +444,22 @@ class TestMemory:
         # twice the result
         peak, reduced = _traced_peak(lambda: am.exclude_indicators(synth_panel, {1}))
         assert peak <= 1.1 * reduced.values.nbytes
+
+    def test_panel_csv_formats_each_block_in_one_call(self):
+        # 2 periods of 300 units x 150 indicators, in blocks of 54 units: the
+        # values of each piece go to float_reprs at once, no more than a block
+        config = _synth_config(300, 150)
+        panel = am.generate_panel(dataclasses.replace(config, periods=config.periods[:2]))
+        with mock.patch.object(panel_module, "float_reprs", wraps=panel_module.float_reprs) as spy:
+            pieces = panel_csv_chunks(panel)
+            next(pieces)  # the header
+            calls = []  # per piece, the number of values of each call
+            for _ in pieces:
+                calls.append([call.args[0].size for call in spy.call_args_list])
+                spy.reset_mock()
+        assert [len(sizes) for sizes in calls] == [1] * (2 * 6)
+        assert max(size for (size,) in calls) <= writers._FORMAT_BLOCK_ELEMENTS
+        assert sum(size for (size,) in calls) == 300 * 150 * 2
 
     def test_panel_csv_holds_one_pass_of_texts(self, synth_panel):
         # a for loop holds each chunk while the next is built; with every value
