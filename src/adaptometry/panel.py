@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -19,12 +19,17 @@ from .writers import blocks, csv_field, float_reprs
 CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 
 # Characters per chunk of parse_panel (see _line_chunks): each chunk's text,
-# lines and field lists are the temporaries beyond the coded arrays. Parse
-# time of 400x20x4, 60x300x4 and 300x150x4 synthgen panels was flat from 2**14
-# to 2**16 and up to 20% slower at 2**12. The parse peak of 400x20x4 beyond
-# its text was 1.15 times the text's length at 2**14, 1.18 at 2**15, 1.58 at
-# 2**16 and 2.42 at 2**17.
+# bytes, lines and field lists are the temporaries beyond the coded arrays.
+# From 2**13 to 2**17, the 400x20x4 benchmark panel parsed in 29.8, 27.6, 26.5,
+# 26.1 and 26.7 ms (60x300x2: 40.0, 37.8, 33.6, 32.0 and 31.9 ms), and its parse
+# peak beyond its text was 0.98, 0.99, 1.01, 1.48 and 2.48 times the text's
+# length: 2**16 is a little faster but holds half as much again.
 _CHUNK_CHARS = 2**15
+
+# parse_panel's chunk checks by bytes.translate: _BLANKS takes each ASCII character
+# str.strip removes but "\n" to " ", and deleting _OTHERS leaves those, "," and "\n"
+_BLANKS = bytes(32 if b < 128 and b != 10 and chr(b).isspace() else b for b in range(256))
+_OTHERS = bytes(b for b in range(256) if _BLANKS[b] not in b" ,\n")
 
 # The characters XML 1.0 cannot hold that strict UTF-8 decoding lets through,
 # NUL aside, so no SVG chart can name a period holding one: the rest of C0
@@ -153,46 +158,54 @@ def parse_panel(csv_text: str) -> IndicatorPanel:
     codes: tuple[list, ...] = ([], [], [], [], [])  # positions, values, line numbers; per chunk
     error = None  # the message for the row at the cut
     for chunk, nos, quoted in chain([(lines[1:], linenos[1:], quoted)], chunks):
-        fields = None
-        if not quoted and set(map(str.count, chunk, repeat(","))) == {4}:
-            fields = ",".join(chunk).split(",")
-        if fields is None or "" in map(str.strip, fields[2::5]):  # blank rows have no id
-            fields, nos, error = _split_lines(chunk, nos)
-        period, unit, raw_id, name, raw_value = (
-            list(map(str.strip, fields[k::5])) for k in range(5)
-        )
-        ind_id = _read_prefix(int, raw_id)
-        cut = len(ind_id)
+        text = "\n".join(chunk)
+        raw = text.encode("utf-8", "surrogatepass")  # no 0x2C or 0x0A inside a character
+        seps = raw.translate(_BLANKS, _OTHERS)  # the separators, and whitespace as " "
+        columns = None
+        if chunk and not quoted and seps.replace(b" ", b"") == (b",,,,\n" * len(chunk))[:-1]:
+            fields = text.replace("\n", ",").split(",")
+            # str.strip changes an ASCII field only if whitespace is next to a separator
+            ends = b"\n%b\n" % raw.translate(_BLANKS).replace(b",", b"\n") if b" " in seps else b""
+            padded = not raw.isascii() or b"\n " in ends or b" \n" in ends
+            columns = _stripped(fields) if padded else [fields[k::5] for k in range(5)]
+        if columns is None or "" in columns[2]:  # blank rows have no id
+            columns, nos, error = _split_lines(chunk, nos)
+        period, unit, raw_id, name, raw_value = columns
+        texts = list(dict.fromkeys(raw_id))  # each id text once, in first-appearance order
+        ids = dict(zip(texts, _read_prefix(int, texts)))
+        cut = raw_id.index(texts[len(ids)]) if len(ids) < len(texts) else len(raw_id)
         if cut < len(raw_id):
             error = f"row {nos[cut]}: non-integer indicator_id {raw_id[cut]!r}"
-        value = _read_prefix(float, raw_value[:cut])
-        if len(value) < cut:
+        try:
+            value = np.fromiter(map(float, raw_value[:cut]), float, cut)
+        except ValueError:  # again up to the bad field, to find its row
+            value = np.array(_read_prefix(float, raw_value[:cut]), dtype=float)
             cut = len(value)
             error = f"row {nos[cut]}: non-numeric value {raw_value[cut]!r}"
-        value = np.array(value, dtype=float)
         outside = ~((value >= 0.0) & (value <= 100.0))  # also true for NaN
         if outside.any():
             cut = int(np.argmax(outside))
             error = f"row {nos[cut]}: value {float(value[cut])} outside [0, 100]"
-        for label, known in dict.fromkeys(zip(ind_id[:cut], name)):  # first appearance order
-            first = names.setdefault(label, known)
-            if first != known:
-                cut = list(zip(ind_id, name)).index((label, known))
-                error = f"row {nos[cut]}: indicator {label} renamed {first!r} -> {known!r}"
-                break
-            ind_index.setdefault(label, len(ind_index))
-        period, unit, ind_id = period[:cut], unit[:cut], ind_id[:cut]
-        for index, column in ((periods, period), (units, unit)):
-            for label in dict.fromkeys(column):
-                index.setdefault(label, len(index))
-        for pieces, piece in zip(codes, (
-            np.fromiter(map(periods.__getitem__, period), np.int32, cut),
-            np.fromiter(map(units.__getitem__, unit), np.int32, cut),
-            np.fromiter(map(ind_index.__getitem__, ind_id), np.int32, cut),
-            value[:cut],
-            nos[:cut],
-        )):
-            pieces.append(piece)
+        ind_id = list(map(ids.__getitem__, raw_id[:cut]))
+        named = all(map(names.__contains__, ids.values()))  # every id seen in earlier chunks
+        if not named or list(map(names.get, ind_id)) != name[:cut]:  # a new id or a rename
+            for label, known in dict.fromkeys(zip(ind_id, name)):  # first appearance order
+                first = names.setdefault(label, known)
+                if first != known:
+                    cut = list(zip(ind_id, name)).index((label, known))
+                    error = f"row {nos[cut]}: indicator {label} renamed {first!r} -> {known!r}"
+                    break
+                ind_index.setdefault(label, len(ind_index))
+        for pieces, index, column in zip(codes, (periods, units), (period[:cut], unit[:cut])):
+            if column and column[-1] == column[0] and column.count(column[0]) == cut:  # one label
+                pieces.append(np.full(cut, index.setdefault(column[0], len(index)), np.int32))
+            else:
+                for label in dict.fromkeys(column):  # first appearance order
+                    index.setdefault(label, len(index))
+                pieces.append(np.fromiter(map(index.__getitem__, column), np.int32, cut))
+        codes[2].append(np.fromiter(map(ind_index.__getitem__, ind_id[:cut]), np.int32, cut))
+        codes[3].append(value[:cut])
+        codes[4].append(nos[:cut])
         if error is not None:
             break
 
@@ -282,23 +295,28 @@ def _joined(pieces: list) -> np.ndarray:
 
 def _split_lines(
     chunk: list[str], linenos: Sequence[int]
-) -> tuple[list[str], list[int], str | None]:
-    """The fields of a chunk read one line at a time, blank rows dropped, up
-    to the first row that csv cannot read or that has not 5 fields; the line
-    numbers of the rows read; and that row's error, if any."""
+) -> tuple[list[list[str]], list[int], str | None]:
+    """The stripped columns of a chunk read a line at a time, blank rows dropped,
+    up to the first row that csv cannot read or that has not 5 fields; the
+    line numbers of the rows read; and that row's error, if any."""
     fields: list[str] = []
     kept: list[int] = []
     for lineno, line in zip(linenos, chunk):
         row = _csv_row(line) if '"' in line else line.split(",")
         if isinstance(row, str):
-            return fields, kept, f"row {lineno}: {row}"
+            return _stripped(fields), kept, f"row {lineno}: {row}"
         if not "".join(row).strip():
             continue
         if len(row) != 5:
-            return fields, kept, f"row {lineno}: expected 5 fields, got {len(row)}"
+            return _stripped(fields), kept, f"row {lineno}: expected 5 fields, got {len(row)}"
         fields += row
         kept.append(lineno)
-    return fields, kept, None
+    return _stripped(fields), kept, None
+
+
+def _stripped(fields: list[str]) -> list[list[str]]:
+    """The five columns of rows of fields, each field stripped."""
+    return [list(map(str.strip, fields[k::5])) for k in range(5)]
 
 
 def _read_prefix(kind: type, fields: list[str]) -> list:

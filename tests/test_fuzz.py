@@ -174,6 +174,41 @@ def _assert_parses_as_oracle(text):
 
 
 PARITY_TEXTS = texts(",".join(CSV_HEADER), 5) | plain_grids()
+HEAD = ",".join(CSV_HEADER)
+
+# Every character str.strip removes, at the start and at the end of labels,
+# ids and values, in an otherwise plain chunk: each text reads as the same
+# panel, or fails on the same row, with every field stripped. The line
+# boundaries among them cut their rows instead.
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+PADDED = [text for c in SPACES for text in (
+    f"{HEAD}\n{c}a,u{c},1,{c}x,5\na{c},{c}v,1,x{c},6\n",
+    f"{HEAD}\n{c}a,u,{c}1,x,5\na,v,1{c},x,5\na,w,{c}z{c},x,5\n",
+    f"{HEAD}\n{c}a,u,1,x,{c}5\na,v,1,x,5{c}\na,w,1,x,{c}z{c}\n",
+)] + [f"{HEAD}\n a,u,1,x,5\na,v,1,x,5 \n"]  # only the chunk's first and last characters
+# One id written four ways: the same indicator while its name holds, a
+# rename when it changes, wherever the rows fall into chunks.
+SPELLINGS = [f"{HEAD}\na,u,1,x,5\na,v,01,x,5\na,w,+1,x,5\na,z, 1,x,5\n"] + [
+    f"{HEAD}\na,u,1,x,5\na,v,1,x,5\na,w,{spelling},y,5\n" for spelling in ["1", "01", "+1", " 1"]
+]
+# A bad id after good ones: its first row is the cut, not its place among
+# the chunk's id texts.
+BAD_ID = f"{HEAD}\na,u,1,x,5\na,v,2,y,5\na,w,1,x,5\na,z,2,y,5\na,t,2,y,5\na,s,q,x,5\na,r,p,x,5\n"
+# Non-ASCII labels: U+2C3C holds a 0x2C byte in UTF-16, not in UTF-8, so its
+# line keeps its 4 fields; a lone surrogate has no strict UTF-8 form at all.
+NON_ASCII = [
+    f"{HEAD}\na,u,1,x,5\na,\u2c3c,1,x\na,w,1,x,5\n",
+    f"{HEAD}\na,\ud800,1,x,5\na,v,1,x,5\n",
+]
+
+
+def examples(cases, **arguments):
+    """An explicit example of the test for each text in ``cases``."""
+    def decorate(test):
+        for text in cases:
+            test = example(text=text, **arguments)(test)
+        return test
+    return decorate
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,11 +222,9 @@ PARITY_TEXTS = texts(",".join(CSV_HEADER), 5) | plain_grids()
 @example(text=",".join(CSV_HEADER) + "\na,u,2,B,5\na,u,1,A,5\na,u,1,A,5\na,u,2,B,5\n")
 # the cut row's error, not the cells the rows before it leave missing
 @example(text=",".join(CSV_HEADER) + "\na,u,1,x,5\nb,v,2,y,5\na,u,1,x,z\n")
+@examples(PADDED + SPELLINGS + [BAD_ID] + NON_ASCII)
 def test_parse_panel_is_the_line_parser(text):
     _assert_parses_as_oracle(text)
-
-
-HEAD = ",".join(CSV_HEADER)
 
 
 @settings(max_examples=300, deadline=None)
@@ -214,6 +247,12 @@ HEAD = ",".join(CSV_HEADER)
 # no "\n" at all: one chunk
 @example(text=HEAD + "\ra,u,1,x,5\ra,v,1,x,5", chunk_chars=0)
 @example(text=HEAD, chunk_chars=0)
+# the same id spellings, bad id and rename a chunk or more after the rows
+# they follow: a chunk of known ids compares its names in bulk
+@examples(SPELLINGS + [BAD_ID] + NON_ASCII, chunk_chars=0)
+@examples(SPELLINGS + [BAD_ID], chunk_chars=20)
+@example(text=HEAD + "\na,u,1,x,5\na,v,2,y,5\na,w,2,y,5\na,z,1,X,5\n", chunk_chars=0)
+@example(text=HEAD + "\na,u,1,x,5\na,v,2,y,5\na,w,2,y,5\na,z,1,X,5\n", chunk_chars=20)
 def test_parse_panel_in_small_chunks_is_the_line_parser(text, chunk_chars):
     """Chunks of one "\\n" line (0 characters) and a few put renamed and
     duplicate rows in another chunk than the rows they repeat."""
@@ -232,6 +271,9 @@ def _workloads():
 
 @pytest.mark.parametrize("name", ["reference", "tall", "wide", "synth"])
 def test_benchmark_inputs_take_the_column_path(name, tmp_path):
+    """The reference panel and the benchmark's seed-1 panels read each chunk
+    as plain column slices: no chunk is read a line at a time or stripped,
+    and no value column is read again to find a bad row."""
     if name == "reference":
         path = pathlib.Path(__file__).parent / "data" / "ukraine_fears_panel.csv"
     else:
@@ -240,7 +282,17 @@ def test_benchmark_inputs_take_the_column_path(name, tmp_path):
         if name == "synth":  # the panel the synth op writes
             assert main(workload.argv) == 0
             path = workload.out / "panel.csv"
-    _assert_parses_as_oracle(path.read_text())
+    text = path.read_text()
+    with contextlib.ExitStack() as stack:
+        lines, stripped, prefix = (
+            stack.enter_context(
+                mock.patch.object(panel_module, spied, wraps=getattr(panel_module, spied))
+            )
+            for spied in ("_split_lines", "_stripped", "_read_prefix")
+        )
+        _assert_parses_as_oracle(text)
+    assert lines.call_count == stripped.call_count == 0
+    assert {call.args[0] for call in prefix.call_args_list} == {int}  # id texts only
 
 
 @settings(max_examples=200, deadline=None)
