@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import PeriodResult, analyze
 from .correlation import DEFAULT_THRESHOLD
-from .dispersion import distance_matrix
+from .dispersion import distance_csv_chunks
 from .panel import PanelError, panel_csv_chunks, parse_panel, validate
 from .synthgen import SynthConfigError, generate_panel, parse_synth_config, stress_contrast
 from .variation import (
@@ -144,8 +144,7 @@ def _run_analyze(args) -> None:
         ids = [str(i) for i in net.matrix.indicator_ids]
         _write(os.path.join(args.out, "matrices", name),
                matrix_csv_chunks("indicator_id", ids, net.matrix.values))
-        _write(os.path.join(args.out, "distances", name),
-               matrix_csv_chunks("unit", units, distance_matrix(result.slice)))
+        _write(os.path.join(args.out, "distances", name), distance_csv_chunks(result.slice, units))
         records.append(_period_record(result))
         edges.append((net.matrix.indicator_ids, net.edge_a, net.edge_b, net.edge_weight))
         # else this period's network lives on while the next period's is built

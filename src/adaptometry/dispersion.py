@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .panel import PeriodSlice
-from .writers import blocks, csv_field, matrix_csv_chunks
+from .writers import _fixed_decimal_block, blocks, csv_field
 
 
 @dataclass(frozen=True)
@@ -63,53 +64,63 @@ def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
     return out
 
 
+# Bounds on K**2, where K is distance_matrix's entry for rows a and b,
+# and T = |a - b|**2 exactly; u = 2**-53, g(k) = k*u / (1 - k*u).
+# - K rounds a subtraction, a square and a sqrt once each, and a sum of
+#   n non-negative terms in any order, so |K**2 - T| <= g(n + 4) * T.
+# - A = (|a|**2 + |b|**2) - 2 a.b from the computed norms and Gram entry
+#   (Higham 2002, section 3.1: |fl(a.b) - a.b| <= g(n) sum |a_k b_k|,
+#   for any order of the sum, with or without fma), so with
+#   S = |a|**2 + |b|**2: |A - T| <= (2 g(n) + 3u) * S.
+# - T <= 2 S, and P, the computed |a|**2 + |b|**2, is S to within
+#   (n + 2) u, so |K**2 - A| <= (4n + 11) u S <= 8 (n + 4) u P / 2: the
+#   factor of 2 covers the rounding of the bounds themselves.
+# - A product or square that underflows is off by at most 2**-1075: n
+#   squares in K, 2n products in the norms and 2n in 2 a.b, so at most
+#   2.5 n * 2**-1074 in all, which (n + 1) * 2**-1071 covers 3 times over.
+def _gram_estimate(
+    pts: np.ndarray, norms: np.ndarray, rows: slice, cols: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """A, the Gram estimate of K**2 for each row of ``rows`` against each of
+    ``cols``, from one matrix product, and W, a width with |K**2 - A| <= W
+    where both are finite. Squares that overflow, or a NaN or inf, make one
+    or both of them not finite; the caller ignores the floating-point errors."""
+    n = pts.shape[1]
+    approx = pts[rows] @ pts[cols].T
+    approx *= -2.0
+    width = norms[rows, None] + norms[None, cols]
+    approx += width
+    width *= 8 * (n + 4) * 2.0**-53
+    width += (n + 1) * 2.0**-1071
+    return approx, width
+
+
 def max_distance(slice_: PeriodSlice) -> float:
     """d_max without the distance matrix: ``distance_matrix(slice_).max()``,
     bit for bit; NaN where a coordinate is NaN or infinite, as inf - inf on
     the matrix's diagonal makes it.
 
-    A Gram-form screen bounds each pair's distance from one matrix product
-    per block of rows. Only the rows whose largest upper bound reaches the
-    largest lower bound seen are recomputed, by distance_matrix's kernel,
-    each against the rows from its block's first on: the farthest pair's
-    first row is among them, and each distance is an entry of the matrix.
-    A block with a bound that is not finite (squares that overflow, or a
-    NaN or inf) has all its rows recomputed, so at worst the matrix's upper
-    triangle is. Memory is a few temporaries of at most
+    The Gram estimate (_gram_estimate) bounds each pair's distance from one
+    matrix product per block of rows. Only the rows whose largest upper bound
+    reaches the largest lower bound seen are recomputed, by distance_matrix's
+    kernel, each against the rows from its block's first on: the farthest
+    pair's first row is among them, and each distance is an entry of the
+    matrix. A block with a bound that is not finite (squares that overflow,
+    or a NaN or inf) has all its rows recomputed, so at worst the matrix's
+    upper triangle is. Memory is a few temporaries of at most
     max(_BLOCK_ELEMENTS, m * n, m) doubles.
     """
     pts = slice_.matrix
     m, n = pts.shape
     if m < 2:
         raise ValueError("need at least 2 units")
-    # Bounds on K**2, where K is distance_matrix's entry for rows a and b,
-    # and T = |a - b|**2 exactly; u = 2**-53, g(k) = k*u / (1 - k*u).
-    # - K rounds a subtraction, a square and a sqrt once each, and a sum of
-    #   n non-negative terms in any order, so |K**2 - T| <= g(n + 4) * T.
-    # - A = (|a|**2 + |b|**2) - 2 a.b from the computed norms and Gram entry
-    #   (Higham 2002, section 3.1: |fl(a.b) - a.b| <= g(n) sum |a_k b_k|,
-    #   for any order of the sum, with or without fma), so with
-    #   S = |a|**2 + |b|**2: |A - T| <= (2 g(n) + 3u) * S.
-    # - T <= 2 S, and P, the computed |a|**2 + |b|**2, is S to within
-    #   (n + 2) u, so |K**2 - A| <= (4n + 11) u S <= 8 (n + 4) u P / 2: the
-    #   factor of 2 covers the rounding of the bounds themselves.
-    # - A product or square that underflows is off by at most 2**-1075: n
-    #   squares in K, 2n products in the norms and 2n in 2 a.b, so at most
-    #   2.5 n * 2**-1074 in all, which (n + 1) * 2**-1071 covers 3 times over.
-    scale = 8 * (n + 4) * 2.0**-53
-    underflow = (n + 1) * 2.0**-1071
     largest_low = -np.inf
     reach = np.empty(m)  # each row's largest upper bound on K**2
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", pts, pts)
         for rows in blocks(m, m, _BLOCK_ELEMENTS):
             # the rows against the columns from their first on: pairs i < j count
-            approx = pts[rows] @ pts[rows.start:].T
-            approx *= -2.0
-            width = norms[rows, None] + norms[None, rows.start:]
-            approx += width
-            width *= scale
-            width += underflow
+            approx, width = _gram_estimate(pts, norms, rows, slice(rows.start, m))
             if np.isfinite(approx).all() and np.isfinite(width).all():
                 largest_low = max(largest_low, float((approx - width).max()))
                 approx += width
@@ -123,6 +134,66 @@ def max_distance(slice_: PeriodSlice) -> float:
             rows = picked[block]
             best = np.maximum(best, _exact_distances(pts[rows], pts[rows[0]:]).max())
     return float(best)
+
+
+def distance_csv_chunks(slice_: PeriodSlice, labels: Sequence[str]) -> Iterator[str]:
+    """The text of ``matrix_csv_chunks("unit", labels, distance_matrix(slice_))``
+    without the distance matrix: each block of rows is formatted as soon as
+    it is known (see _screened_rows), so memory is a few temporaries of at
+    most max(_BLOCK_ELEMENTS, m * n, m) doubles."""
+    pts = slice_.matrix
+    m = len(pts)
+    if m < 2:
+        raise ValueError("need at least 2 units")
+    yield ",".join(["unit", *labels]) + "\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", pts, pts)
+    for rows in blocks(m, m, _BLOCK_ELEMENTS):
+        block = _screened_rows(pts, norms, rows)
+        for part in blocks(len(block), m):
+            yield _fixed_decimal_block(labels[rows][part], block[part])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _screened_rows(pts: np.ndarray, norms: np.ndarray, rows: slice) -> np.ndarray:
+    """Entries of ``rows`` of the distance matrix that each print as the
+    matrix's own: est = sqrt(A) from one Gram estimate (_gram_estimate), 0 on
+    the diagonal, and the exact kernel's rows where a text could differ."""
+    # The writer prints each x as "%.2f" % x does: 100 x, exactly, rounded to
+    # an integer. So est prints as K does if no half-integer lies between
+    # 100 est and 100 K, both >= 0: if y = fl(100 est) lies further than B from
+    # every half-integer, with B >= |y - 100 K|. With est = fl(sqrt(A)) > 0,
+    # so A > 0, s = sqrt(A) exactly and u = 2**-53:
+    # - |K - s| = |K**2 - A| / (K + s) <= W / s <= W (1 + u) / est;
+    # - |est - s| <= u s, and 100 est <= y / (1 - u), so
+    #   |y - 100 K| <= u y + 100 |K - est| <= 100 W (1 + 2u) / est + 2.01u y.
+    # Over a row, B = 100 (1 + 2**-40) max W / min est + 2**-51 max y + 2**-50
+    # covers that, the rounding of B, and that of y's computed distance to
+    # the nearest half-integer, |y - floor(y) - .5|. The diagonal is 0, as K
+    # is where the row is finite. A row with an est that is not positive is
+    # recomputed: W > 0, so B is inf where an est is 0 (A = 0), and NaN where
+    # one is NaN (A < 0), as it is where a NaN or inf is in the row.
+    m, n = pts.shape
+    est, y = _gram_estimate(pts, norms, rows, slice(0, m))
+    bound = y.max(axis=1)  # W's largest, before y takes W's place
+    np.sqrt(est, out=est)
+    diagonal = (np.arange(len(est)), np.arange(rows.start, rows.start + len(est)))
+    est[diagonal] = np.inf
+    low = est.min(axis=1)
+    est[diagonal] = 0.0
+    np.multiply(est, 100.0, out=y)
+    top = y.max(axis=1)
+    y -= np.floor(y)
+    y -= 0.5
+    np.abs(y, out=y)
+    bound /= low
+    bound *= 100.0 * (1.0 + 2.0**-40)
+    bound += top * 2.0**-51 + 2.0**-50
+    redo = np.flatnonzero(~(y.min(axis=1) > bound))
+    del y
+    for block in blocks(len(redo), m * n, _BLOCK_ELEMENTS):
+        est[redo[block]] = _exact_distances(pts[rows.start + redo[block]], pts)
+    return est
 
 
 def log_bounding_volume(slice_: PeriodSlice) -> float:
@@ -197,7 +268,6 @@ def dispersion_summary(slice_: PeriodSlice) -> DispersionSummary:
 
 
 def distances_to_csv(slice_: PeriodSlice) -> str:
-    """Render the slice's distance matrix as CSV with unit labels: the
-    text of writers.matrix_csv_chunks, in one string."""
-    labels = [csv_field(unit) for unit in slice_.units]
-    return "".join(matrix_csv_chunks("unit", labels, distance_matrix(slice_)))
+    """The slice's distance matrix as CSV with unit labels: the text of
+    distance_csv_chunks, in one string."""
+    return "".join(distance_csv_chunks(slice_, [csv_field(unit) for unit in slice_.units]))

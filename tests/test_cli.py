@@ -684,6 +684,36 @@ class TestWriteErrors:
         assert not out.exists()
 
 
+class TestBlasIndependence:
+    # Each row of a distance CSV is written from a Gram estimate whose last
+    # bits follow the BLAS kernel and its thread count, or from the exact
+    # kernel where a digit is in doubt: the text must follow neither.
+    # OPENBLAS_CORETYPE picks numpy's OpenBLAS kernel, and other BLAS
+    # libraries ignore both variables.
+    SETTINGS = {"default": {}, "one thread": {"OPENBLAS_NUM_THREADS": "1"},
+                "Sandybridge kernel": {"OPENBLAS_CORETYPE": "Sandybridge"}}
+
+    def test_reference_distance_csvs_are_the_same_under_each_blas(self, tmp_path, child_env):
+        base = {k: v for k, v in child_env.items() if not k.startswith("OPENBLAS_")}
+        written = {}
+        for name, extra in self.SETTINGS.items():
+            out = tmp_path / name.replace(" ", "-")
+            subprocess.run(
+                [sys.executable, "-m", "adaptometry.cli", "analyze",
+                 "--input", str(DATA / "ukraine_fears_panel.csv"), "--exclude", "17,19",
+                 "--grouped", str(DATA / "political_groups.csv"), "--plots", "--out", str(out)],
+                env={**base, **extra}, capture_output=True, check=True, timeout=120,
+            )
+            written[name] = {p.name: p.read_text() for p in sorted((out / "distances").iterdir())}
+        panel = am.exclude_indicators(am.parse_panel((DATA / "ukraine_fears_panel.csv").read_text()),
+                                      {17, 19})
+        units = [writers.csv_field(u) for u in panel.units]
+        exact = {f"{p}.csv": "".join(writers.matrix_csv_chunks(
+            "unit", units, am.distance_matrix(am.slice_period(panel, p)))) for p in panel.periods}
+        for name in self.SETTINGS:
+            assert written[name] == exact, name
+
+
 class TestMemory:
     """Outputs go to their files in pieces and periods are computed one at a
     time. numpy reports its buffers to tracemalloc."""

@@ -1,6 +1,8 @@
 import math
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,14 +12,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import adaptometry as am
+from adaptometry import cli as cli_module
 from adaptometry import dispersion as dispersion_module
+from adaptometry import writers as writers_module
 from adaptometry.dispersion import (
     ball_diameter_from_log,
     dispersion_summary,
+    distance_csv_chunks,
     distances_to_csv,
     log_bounding_volume,
     max_distance,
 )
+from adaptometry.writers import csv_field, matrix_csv_chunks
 from oracles import (
     oracle_ball_diameter,
     oracle_distance,
@@ -209,10 +215,10 @@ POINT_VALUES = st.one_of(
 
 
 @st.composite
-def unit_points(draw):
+def unit_points(draw, elements=POINT_VALUES):
     m = draw(st.integers(2, 24))
     n = draw(st.integers(1, 9))
-    points = draw(arrays(np.float64, (m, n), elements=POINT_VALUES))
+    points = draw(arrays(np.float64, (m, n), elements=elements))
     if draw(st.booleans()):  # duplicate units: many tied pairs
         points = points[draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
     constant = draw(arrays(np.bool_, n))
@@ -352,6 +358,221 @@ class TestMaxDistance:
         entries = {f: sum(r * k for r, k in self.kernel_calls(f, s))
                    for f in (max_distance, am.distance_matrix)}
         assert entries[max_distance] <= entries[am.distance_matrix]
+
+
+def exact_csv(s):
+    """The distance CSV of the exact matrix: the text distance_csv_chunks owes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = am.distance_matrix(s)
+    return "".join(matrix_csv_chunks("unit", [csv_field(u) for u in s.units], matrix))
+
+
+def screened_csv(s):
+    return "".join(distance_csv_chunks(s, [csv_field(u) for u in s.units]))
+
+
+def rechecked_rows(s):
+    """The rows distance_csv_chunks hands the exact kernel."""
+    kernel = dispersion_module._exact_distances
+    with mock.patch.object(dispersion_module, "_exact_distances", wraps=kernel) as spy:
+        screened_csv(s)
+    return sum(c.args[0].shape[0] for c in spy.call_args_list)
+
+
+def benchmark_panel(name, seed):
+    """The panel of the benchmark workload ``name`` at ``seed``."""
+    m, n, periods = {"tall": (400, 20, 4), "wide": (60, 300, 2)}[name]
+    panel = am.generate_panel(am.SynthConfig(
+        units=m, indicators=n,
+        periods=tuple((f"2020-{p + 1:02d}", ("baseline", "stressed")[p % 2]) for p in range(periods)),
+        baseline_means=(50.0,) * n, noise_sd=4.0, loading_baseline=0.0,
+        loading_stressed=15.0, variance_multiplier=2.0, seed=seed,
+    ))
+    if name == "wide":  # every 25th indicator constant in the first period
+        values = panel.values.copy()
+        values[0, :, ::25] = 50.0
+        panel = am.IndicatorPanel(panel.periods, panel.units, panel.indicators, values)
+    return panel
+
+
+def half_cent_lattice(m, n, seed):
+    """Units 0.005 apart along one indicator, alike in the rest: about half of
+    the distances are odd multiples of half a cent, so every row has ties."""
+    points = np.full((m, n), 50.0)
+    points[:, 0] = 0.005 * np.random.default_rng(seed).permutation(m)
+    return points
+
+
+# POINT_VALUES, and as often values of the dyadic (k/8) and half-cent
+# lattices, whose distances tie at a half cent
+CSV_VALUES = st.one_of(
+    POINT_VALUES,
+    st.integers(0, 800).map(lambda k: k / 8),
+    st.integers(0, 20_000).map(lambda k: k * 0.005),
+)
+
+
+@st.composite
+def csv_points(draw):
+    points = draw(unit_points(CSV_VALUES))
+    if draw(st.integers(0, 3)) == 0:  # one NaN or infinite coordinate
+        m, n = points.shape
+        points[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from((np.nan, np.inf, -np.inf)))
+    return points
+
+
+class TestDistanceCsv:
+    """distance_csv_chunks writes, from a Gram estimate, the text of the
+    exact distance matrix."""
+
+    # blocks of 1 to 40 elements hold one row of the screen, the recheck and
+    # the writer, or a few
+    @settings(max_examples=300, deadline=None)
+    @given(points=csv_points(),
+           block=st.sampled_from((dispersion_module._BLOCK_ELEMENTS, 1, 5, 40)),
+           text_block=st.sampled_from((writers_module._FORMAT_BLOCK_ELEMENTS, 1, 7)))
+    @example(points=np.array([[0.0], [0.125]]), block=1, text_block=1)
+    @example(points=np.array([[0.0], [0.375]]), block=1, text_block=1)
+    @example(points=np.full((5, 3), 100.0), block=5, text_block=7)
+    @example(points=np.array([[1e200, 0.0], [-1e200, 1.0], [5.0, 5.0]]), block=1, text_block=1)
+    @example(points=np.array([[1e-160, 0.0], [0.0, 3e-161], [2e-160, 1e-160]]),
+             block=40, text_block=7)
+    @example(points=np.array([[np.nan, 1.0], [2.0, 3.0]]), block=1, text_block=1)
+    @example(points=half_cent_lattice(24, 3, 0), block=40, text_block=7)
+    def test_equals_the_exact_matrix_text(self, points, block, text_block):
+        s = points_slice(points)
+        expected = exact_csv(s)
+        with mock.patch.object(dispersion_module, "_BLOCK_ELEMENTS", block), \
+                mock.patch.object(writers_module, "_FORMAT_BLOCK_ELEMENTS", text_block):
+            assert screened_csv(s) == expected
+
+    def test_dyadic_ties_round_half_to_even(self):
+        # 0.125 and 0.375 are exact: "%.2f" rounds them to "0.12" and "0.38"
+        s = points_slice(np.array([[0.0], [0.125], [0.375]]))
+        assert screened_csv(s) == exact_csv(s) == (
+            "unit,u0,u1,u2\nu0,0.00,0.12,0.38\nu1,0.12,0.00,0.25\nu2,0.38,0.25,0.00\n")
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0, 1e4, 1e5, 1e8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_common_offset(self, offset, seed):
+        # the Gram form cancels: its width dwarfs a cent where the offset is large
+        points = offset + np.random.default_rng(seed).uniform(0.0, 3.0, (60, 5))
+        s = points_slice(points)
+        assert screened_csv(s) == exact_csv(s)
+
+    def test_single_unit_is_error(self):
+        with pytest.raises(ValueError, match="need at least 2 units"):
+            screened_csv(random_slice(0, m=1))
+
+    @pytest.mark.parametrize("move", ["lower end", "upper end", "random"])
+    @pytest.mark.parametrize("offset,seed,near", [
+        (1e4, 0, False), (1e4, 1, False), (1e5, 0, False), (50.0, 0, False), (1e4, 2, True),
+    ])
+    def test_adversarial_estimate(self, move, offset, seed, near):
+        # The screen may rely only on |K**2 - A| <= W. Here A is moved to
+        # anywhere in that interval: to K**2 - W, to K**2 + W, or to random
+        # points between, each within 3/4 of the width the derivation in
+        # dispersion.py gives, so that this test's own roundings keep it
+        # inside; the screen gets its own W. Near pairs, 0.05501 apart, print
+        # a digit that a move of W can change only through their own small
+        # distance, not the row's others.
+        points = offset + np.random.default_rng(seed).uniform(0.0, 3.0, (150, 5))
+        if near:
+            points[1::2] = points[::2]
+            points[1::2, 0] += 0.05501
+        s = points_slice(points)
+        rng = np.random.default_rng(seed + 1)
+        estimate = dispersion_module._gram_estimate
+
+        def moved(pts, norms, rows, cols):
+            _, width = estimate(pts, norms, rows, cols)
+            n = pts.shape[1]
+            allowed = 8 * (n + 4) * 2.0**-53 * (norms[rows, None] + norms[None, cols])
+            exact = dispersion_module._exact_distances(pts[rows], pts[cols])
+            t = {"lower end": -1.0, "upper end": 1.0}.get(move)
+            if t is None:
+                t = rng.uniform(-1.0, 1.0, exact.shape)
+            return exact * exact + 0.75 * t * allowed, width
+
+        expected = exact_csv(s)
+        with mock.patch.object(dispersion_module, "_gram_estimate", moved):
+            assert screened_csv(s) == expected
+
+    PANELS = ["reference", "tall-1", "tall-2", "wide-1", "wide-2"]
+
+    @pytest.mark.parametrize("name", PANELS)
+    def test_screen_skips_rows(self, name, panel):
+        # the reference panel and the benchmark's: at most 4 rows of a period
+        # are rechecked (none on these, as measured)
+        if name != "reference":
+            kind, seed = name.split("-")
+            panel = benchmark_panel(kind, int(seed))
+        for period in panel.periods:
+            assert rechecked_rows(am.slice_period(panel, period)) <= 4
+
+    def test_cli_never_builds_the_matrix(self, panel, tmp_path):
+        path = Path(__file__).parent / "data" / "ukraine_fears_panel.csv"
+        spy = mock.patch.object(dispersion_module, "distance_matrix",
+                                wraps=dispersion_module.distance_matrix)
+        with spy as called:
+            assert cli_module.main(["analyze", "--input", str(path),
+                                    "--out", str(tmp_path / "out")]) == 0
+        assert called.call_count == 0
+        assert "distance_matrix" not in vars(cli_module)
+        for period in panel.periods:
+            written = (tmp_path / "out" / "distances" / f"{period}.csv").read_text()
+            assert written == exact_csv(am.slice_period(panel, period))
+
+    def test_half_cent_lattice_rechecks_every_row(self):
+        s = points_slice(half_cent_lattice(400, 20, 1))
+        assert rechecked_rows(s) == 400
+        assert screened_csv(s) == exact_csv(s)
+
+    def test_half_cent_lattice_within_3x_of_the_matrix(self, child_env):
+        # Every row is rechecked, in blocks: the screen and the rechecks take
+        # at most 3 times distance_matrix (about 2 measured; a recheck loop of
+        # one row per call took 9). Timed in a child with one BLAS thread, as
+        # two threads are slow in some processes on shared CPUs.
+        script = (
+            "import time\nfrom unittest import mock\n"
+            "import numpy as np\nimport adaptometry as am\n"
+            "from adaptometry import dispersion as d\n"
+            "points = np.full((400, 20), 50.0)\n"
+            "points[:, 0] = 0.005 * np.random.default_rng(1).permutation(400)\n"
+            "s = am.PeriodSlice('p', tuple(map(str, range(400))), tuple(range(20)), points)\n"
+            "def best(f):\n"
+            "    times = []\n"
+            "    for _ in range(7):\n"
+            "        start = time.perf_counter(); f(); times.append(time.perf_counter() - start)\n"
+            "    return min(times)\n"
+            "with mock.patch.object(d, '_fixed_decimal_block', lambda labels, block: ''):\n"
+            "    screened = best(lambda: list(d.distance_csv_chunks(s, s.units)))\n"
+            "print(screened / best(lambda: d.distance_matrix(s)))\n"
+        )
+        env = {**child_env, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert float(done.stdout) < 3.0
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "every row rechecked"])
+    def test_memory_is_a_few_blocks(self, tied):
+        # the distance matrix alone would be 3000**2 * 8 bytes = 69 MiB; each
+        # chunk is dropped as it comes, as cli._write does. Units all alike
+        # have every estimate 0, so every row is rechecked.
+        m, n = 3000, 4
+        s = points_slice(np.full((m, n), 7.0)) if tied else random_slice(5, m=m, n=n)
+        labels = [f"u{k}" for k in range(m)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in distance_csv_chunks(s, labels):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * dispersion_module._BLOCK_ELEMENTS * 8
 
 
 class TestBoundingVolume:

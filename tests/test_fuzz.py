@@ -202,6 +202,15 @@ NON_ASCII = [
 ]
 
 
+# Each line boundary of str.splitlines but "\n": just before and just after a
+# cut, inside a chunk, and at the end of the text
+BREAKS = [c for c in SPACES if c != "\n" and len(f"a{c}b".splitlines()) == 2]
+BREAK_TEXTS = [text for c in BREAKS for text in (
+    f"{HEAD}\na,u,1,x,5{c}\n{c}a,v,1,x,5{c}a,w,1,x,z\n",
+    f"{HEAD}\na,u,1,x,5\na,v,1,x,5{c}",
+)]
+
+
 def examples(cases, **arguments):
     """An explicit example of the test for each text in ``cases``."""
     def decorate(test):
@@ -233,12 +242,9 @@ def test_parse_panel_is_the_line_parser(text):
 @example(text=HEAD + "\na,u,1,x,5\na,u,1,x,5\na,v,1,y,5\n", chunk_chars=10)
 # a line boundary other than "\n" just before and just after each cut, and
 # inside a chunk; the bad value's row number counts every line before it
-@example(text=HEAD + "\na,u,1,x,5\r\n\ra,v,1,x,5\ra,w,1,x,z\n", chunk_chars=0)
 @example(text=HEAD + "\r\na,u,1,x,5\r\n\r\na,v,1,x,5\r\na,w,1,x,z\r\n", chunk_chars=0)
-@example(text=HEAD + "\na,u,1,x,5\x0b\n\x0ba,v,1,x,5\x0ba,w,1,x,z\n", chunk_chars=0)
-@example(text=HEAD + "\na,u,1,x,5\x1c\n\x1ca,v,1,x,5\x1ca,w,1,x,z\n", chunk_chars=0)
-@example(text=HEAD + "\na,u,1,x,5\x85\n\x85a,v,1,x,5\x85a,w,1,x,z\n", chunk_chars=0)
-@example(text=HEAD + "\na,u,1,x,5\u2028\n\u2028a,v,1,x,5\u2028a,w,1,x,z\n", chunk_chars=0)
+@examples(BREAK_TEXTS, chunk_chars=0)
+@examples(BREAK_TEXTS, chunk_chars=24)
 # first chunks of comments only, or of a blank line, before the header
 @example(text="# c\n#,,,,\n" + HEAD + "\na,u,1,x,5\na,v,1,x,5\n", chunk_chars=0)
 @example(text="# c\n\n" + HEAD + "\na,u,1,x,5\na,v,1,x,5\n", chunk_chars=0)
