@@ -43,6 +43,7 @@ def _exact_distances(block: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.sqrt(diff.sum(axis=2))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as max_distance: inf and NaN entries
 def distance_matrix(slice_: PeriodSlice) -> np.ndarray:
     """All pairwise unit distances over the slice's indicators.
 

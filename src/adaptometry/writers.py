@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +29,39 @@ _FORMAT_BLOCK_ELEMENTS = 2**13
 _FAST_LIMIT = 2.0**31
 _TIE_MARGIN = 1e-6
 
-# The powers of ten float_reprs scales by
+# The powers of ten float_reprs scales by, and _fixed_decimal_block counts digits by
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _word_table(texts: Iterable[bytes]) -> np.ndarray:
+    """The 8-byte ``texts`` as little-endian words: the bytes of a word array
+    in "<u8" are its texts in order on any host."""
+    return np.frombuffer(b"".join(texts), "<u8")
+
+
+# The words of _fixed_decimal_block, where 0xFF pads: no UTF-8 text holds it.
+# The tables total 17.3 KiB; one word per k < 10**5 would add 800 KiB to every
+# run's memory. An entry k = |x| * 100 < 10**5 is _LOW[k % 1000] |
+# _HIGH[k // 1000]: the comma, a sign slot, the two leading digits (0xFF for
+# leading zeros) and d.dd.
+_LOW = _word_table(b",\xff\0\0%d.%02d" % divmod(r, 100) for r in range(1000))
+_HIGH = _word_table(
+    b"\0\0" + (b"%d" % q if q else b"").rjust(2, b"\xff") + bytes(4) for q in range(100)
+)
+# Two words where k >= 10**5 (k <= 2**31 has at most 10 digits): the comma,
+# the sign slot, 3 slots always padded and digits 10 to 8 of k (_TOP), then
+# digits 7 to 4 (_PAIR) and d.dd; _LEADING_ZEROS[i] pads the slots left of
+# k's 3 + i digits.
+_TOP = _word_table(b"\0\0\xff\xff\xff%03d" % c for c in range(1000))
+_PAIR = _word_table(b"%02d" % j + bytes(6) for j in range(100))
+_LEADING_ZEROS = _word_table(
+    bytes(2) + b"\xff" * (10 - i) + bytes(4 + i) for i in range(8)
+).reshape(8, 2)
+_NAN, _PATCH, _NEWLINE, _NO_TEXT = _word_table(
+    text.ljust(8, b"\xff") for text in (b",", b",\xfe", b"\n", b"")
+)
+_DIGITS = np.uint64(2**64 - 2**16)  # all but the comma and sign slot
+_MINUS = np.uint64(0xD200)  # turns the 0xFF of the sign slot into "-"
 
 
 def csv_field(label: str) -> str:
@@ -64,9 +95,10 @@ def matrix_csv_chunks(corner: str, labels: Sequence[str], values: np.ndarray) ->
 
 
 def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
-    """Round each entry in numpy and lay out its ASCII text right-aligned in a
-    uint8 grid, one fixed-width slot per entry, padded with spaces that are
-    then dropped: no other byte of the output is a space."""
+    """Round each entry in numpy and lay out the block's whole lines in one
+    grid of 8-byte words (see _word_table): per line the label's UTF-8 bytes,
+    one or two words per entry and a newline word, padded with 0xFF bytes
+    that are then dropped. "%" writes the entries marked 0xFE."""
     nan = np.isnan(block)
     with np.errstate(over="ignore"):  # an inf product only fails the guard
         y = np.abs(block) * 100.0
@@ -78,29 +110,43 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
     fast &= ~slow
     k = whole.astype(np.uint32) + (frac > 0.5)  # at most 2**31
 
-    width = max(3, len(str(k.max(initial=0))))  # digits in the widest entry
-    slot = 3 + width  # comma, sign, then digits and point
-    rows, n = block.shape
-    lines = np.full((rows, n * slot + 1), ord(" "), np.uint8)
-    lines[:, -1] = ord("\n")
-    grid = lines[:, :-1].reshape(rows, n, slot)  # a view: one slot per entry
-    grid[..., 0] = ord(",")
-    # the first 3 digits (d.dd) always show; from the units digit on, left of the point
-    _put_digits(grid, k, [c for c in range(slot - 1, 1, -1) if c != slot - 3], 3)
-    grid[..., slot - 3] = ord(".")
-    grid[~fast, 2:] = ord(" ")  # NaN and "%" entries
-    grid[..., 1] = np.where(fast & np.signbit(block), ord("-"), ord(" "))
-    grid[slow, 1] = 0  # NUL marks where a "%" text goes
+    q = k // 1000  # "//" and a product: "%" takes 4 times as long
+    low = _LOW[(k - 1000 * q).astype(np.intp)]
+    words = 1 if k.max(initial=0) < 10**5 else 2  # per entry, as the widest needs
+    if words == 1:
+        low |= _HIGH[q.astype(np.intp)]
+        first = low
+    else:
+        top = k // 10**7
+        mid = q // 100
+        pad = _LEADING_ZEROS[np.searchsorted(_POW10[3:10], k, side="right")]
+        first = _TOP[top.astype(np.intp)] | pad[..., 0] | (low & 0xFFFF)
+        low &= _DIGITS
+        low |= pad[..., 1] | _PAIR[(mid - 100 * top).astype(np.intp)]
+        low |= _PAIR[(q - 100 * mid).astype(np.intp)] << np.uint64(16)
+        low[~fast] = _NO_TEXT
+    neg = np.signbit(block)
+    if neg.any():  # no distance is negative
+        first -= neg * _MINUS
+    odd = ~fast  # overwritten whatever their sign
+    if odd.any():
+        first[odd] = np.where(slow[odd], _PATCH, _NAN)
+    entries = first if words == 1 else np.stack([first, low], -1)
 
-    text = lines.tobytes().translate(None, b" ").decode("ascii")
-    patches = iter(["%.2f" % v for v in block[slow].tolist()])  # row-major, as the NULs
-    out = []
-    for label, row, patched in zip(labels, text.split("\n"), slow.any(axis=1).tolist()):
-        if patched:
-            head, *tail = row.split("\0")
-            row = head + "".join(next(patches) + part for part in tail)
-        out.append(f"{label}{row}\n")
-    return "".join(out)
+    rows, n = block.shape
+    encoded = [label.encode() for label in labels]
+    width = -(-max(map(len, encoded), default=0) // 8)  # words per label
+    lines = np.empty((rows, width + n * words + 1), "<u8")
+    padded = (label.ljust(8 * width, b"\xff") for label in encoded)
+    lines[:, :width] = _word_table(padded).reshape(rows, width)
+    lines[:, width:-1] = entries.reshape(rows, n * words)
+    lines[:, -1] = _NEWLINE
+    text = lines.tobytes().translate(None, b"\xff")
+    if slow.any():
+        parts = text.split(b"\xfe")  # row-major, as block[slow]
+        patches = (b"%.2f" % v for v in block[slow].tolist())
+        text = b"".join([parts[0], *(a + b for a, b in zip(patches, parts[1:]))])
+    return text.decode()
 
 
 def float_reprs(values: np.ndarray) -> list[str]:

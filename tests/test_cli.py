@@ -50,6 +50,12 @@ seed = 1
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+# the reference run: the published panel without indicators 17 and 19, and
+# the political grouping; tests/data/reference_run holds the matrix and
+# distance CSVs it writes
+REFERENCE_ARGS = ["--input", str(DATA / "ukraine_fears_panel.csv"), "--exclude", "17,19",
+                  "--grouped", str(DATA / "political_groups.csv")]
+
 # Runs ``python <its arguments>`` and prints that process's peak RSS in MiB,
 # ru_maxrss from os.wait4. A spawned process's ru_maxrss starts from its
 # parent's, so the parent is this small interpreter, not the test process.
@@ -63,6 +69,16 @@ PEAK_MIB = (
 
 def _mask_timestamp(report: str) -> str:
     return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', report)
+
+
+def _assert_reference_csvs(out: pathlib.Path) -> None:
+    """The matrix and distance CSVs under ``out`` are the golden ones, byte for byte."""
+    for folder in ("matrices", "distances"):
+        golden = DATA / "reference_run" / folder
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in (out / folder).iterdir()) == names
+        for name in names:
+            assert (out / folder / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def _assert_same_outputs(a: pathlib.Path, b: pathlib.Path) -> None:
@@ -122,13 +138,14 @@ class TestAnalyze:
 
     def test_reference_report_matches_golden(self, tmp_path):
         out = tmp_path / "out"
-        code = main(
-            ["analyze", "--input", str(DATA / "ukraine_fears_panel.csv"), "--exclude", "17,19",
-             "--grouped", str(DATA / "political_groups.csv"), "--out", str(out)]
-        )
-        assert code == 0
+        assert main(["analyze", *REFERENCE_ARGS, "--out", str(out)]) == 0
         got = _mask_timestamp((out / "report.json").read_text())
         assert got == _mask_timestamp((DATA / "expected_report.json").read_text())
+
+    def test_reference_csvs_match_golden(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["analyze", *REFERENCE_ARGS, "--out", str(out)]) == 0
+        _assert_reference_csvs(out)
 
     def test_exclude_flag(self, panel_csv, tmp_path):
         out = tmp_path / "out"
@@ -699,9 +716,8 @@ class TestBlasIndependence:
         for name, extra in self.SETTINGS.items():
             out = tmp_path / name.replace(" ", "-")
             subprocess.run(
-                [sys.executable, "-m", "adaptometry.cli", "analyze",
-                 "--input", str(DATA / "ukraine_fears_panel.csv"), "--exclude", "17,19",
-                 "--grouped", str(DATA / "political_groups.csv"), "--plots", "--out", str(out)],
+                [sys.executable, "-m", "adaptometry.cli", "analyze", *REFERENCE_ARGS,
+                 "--plots", "--out", str(out)],
                 env={**base, **extra}, capture_output=True, check=True, timeout=120,
             )
             written[name] = {p.name: p.read_text() for p in sorted((out / "distances").iterdir())}
@@ -712,6 +728,33 @@ class TestBlasIndependence:
             "unit", units, am.distance_matrix(am.slice_period(panel, p)))) for p in panel.periods}
         for name in self.SETTINGS:
             assert written[name] == exact, name
+
+
+class TestSimdIndependence:
+    # numpy picks the loop of each integer gather, shift and division the CSV
+    # writer runs by the CPU's features; with AVX2 and AVX-512 switched off
+    # (X86_V3, X86_V4 and their groups) the CSVs must be the same bytes.
+    DISABLED = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    CHILD = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "print(__cpu_features__['X86_V4'])\n"
+        "from adaptometry.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def test_reference_csvs_without_avx2_and_avx512(self, tmp_path, child_env):
+        features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+        if not features.get("X86_V4"):
+            pytest.skip("this CPU has no X86_V4 features to switch off")
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "analyze", *REFERENCE_ARGS, "--out", str(out)],
+            env={**child_env, "NPY_DISABLE_CPU_FEATURES": self.DISABLED},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert done.stdout == "False\n"
+        _assert_reference_csvs(out)
 
 
 class TestMemory:

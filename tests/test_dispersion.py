@@ -172,8 +172,7 @@ def points_slice(points):
 
 
 def exact_d_max(s):
-    with np.errstate(over="ignore"):  # distance_matrix warns where squares overflow
-        return am.distance_matrix(s).max()
+    return am.distance_matrix(s).max()
 
 
 class TestDistanceEntryForms:
@@ -304,10 +303,19 @@ class TestMaxDistance:
     def test_non_finite_coordinate_gives_nan(self, bad):
         # inf - inf on the matrix's diagonal makes its maximum NaN
         s = points_slice(np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]]))
-        with np.errstate(invalid="ignore"):
-            assert math.isnan(exact_d_max(s))
+        assert math.isnan(exact_d_max(s))
         assert math.isnan(max_distance(s))
         assert math.isnan(dispersion_summary(s).d_max)
+
+    @pytest.mark.parametrize("bad", [1e200, np.inf])
+    def test_distance_matrix_warns_no_more_than_max_distance(self, bad):
+        # warnings are errors in this suite: squares that overflow and inf - inf
+        # give inf and NaN entries, as in max_distance, without a RuntimeWarning
+        s = points_slice(np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]]))
+        matrix = am.distance_matrix(s)
+        assert matrix[0, 1] == matrix[1, 2] == np.inf
+        assert matrix[0, 2] == math.sqrt(18.0)
+        assert np.isnan(matrix[1, 1]) == (bad == np.inf)
 
     def test_no_indicators(self):
         assert max_distance(am.PeriodSlice("p", ("a", "b"), (), np.empty((2, 0)))) == 0.0
@@ -362,8 +370,7 @@ class TestMaxDistance:
 
 def exact_csv(s):
     """The distance CSV of the exact matrix: the text distance_csv_chunks owes."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = am.distance_matrix(s)
+    matrix = am.distance_matrix(s)
     return "".join(matrix_csv_chunks("unit", [csv_field(u) for u in s.units], matrix))
 
 

@@ -311,12 +311,12 @@ def _old_matrix_to_csv(matrix: CorrelationMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _old_distances_to_csv(values) -> str:
-    """distances_to_csv before the shared fixed-decimal formatter, on the
-    units of _units: the reference."""
+def _old_distances_to_csv(values, units=None) -> str:
+    """distances_to_csv before the shared fixed-decimal formatter, on
+    ``units`` (by default those of _units): the reference."""
     values = np.asarray(values, dtype=float)
     fmt = ",%.2f" * len(values)
-    labels = [csv_field(unit) for unit in _units(len(values))]
+    labels = [csv_field(unit) for unit in units or _units(len(values))]
     lines = [",".join(["unit", *labels])]
     for label, row in zip(labels, values):
         lines.append(label + fmt % tuple(row.tolist()))
@@ -332,11 +332,11 @@ def _units(m: int) -> tuple[str, ...]:
     return tuple(f"u{k}" if k % 2 else f'"u,{k}"' for k in range(m))
 
 
-def _distances_csv(values) -> str:
-    """The distance CSV of ``values`` as a matrix over the units of _units:
-    the text the CLI writes, in one string."""
+def _distances_csv(values, units=None) -> str:
+    """The distance CSV of ``values`` as a matrix over ``units`` (by default
+    those of _units): the text the CLI writes, in one string."""
     values = np.asarray(values, dtype=float)
-    labels = [csv_field(unit) for unit in _units(len(values))]
+    labels = [csv_field(unit) for unit in units or _units(len(values))]
     return "".join(matrix_csv_chunks("unit", labels, values))
 
 
@@ -360,22 +360,39 @@ HUGE = _neighbours([2.0**31, 2.0**31 / 10**4, 2.0**31 / 100 - 0.005]) + [
 ]
 
 
+# k = |x| * 100 either side of where an entry takes another digit, a second
+# 8-byte word (10**5) or "%" (2**31), with negatives. A block's entries take
+# the words its largest k needs: 99999 in ONE_WORD, 10**5 in TWO_WORDS, whose
+# rows, as WORDS', mix one-word and two-word magnitudes.
+ONE_WORD = [sign * k / 100 for sign in (1, -1) for k in (999, 1000, 9999, 10**4, 99999)] + [-0.0]
+TWO_WORDS = ONE_WORD + [1000.0, -1000.0]
+WORDS = TWO_WORDS + [sign * k / 100 for sign in (1, -1) for k in (10**8, 2**31 - 1, 2**31 + 1)]
+# every entry of _rolled(PATCHED) is written by "%"
+PATCHED = [0.125, 2.675, -1.005, np.inf, 3e9]
+# unit labels of 0 to 17 UTF-8 bytes, some multibyte, and labels csv_field quotes
+LABELS = ["é" * (n // 2) + "a" * (n % 2) for n in range(18)] + ["a,b", '"', "€,€€,"]
+
+
 class TestWritersMatchOldWriters:
     """Both CSV writers give the bytes of the old per-row "%" writers."""
 
     @pytest.mark.parametrize("rows_per_block", [None, 1, 2], ids=["one block", "1 row", "2 rows"])
-    @pytest.mark.parametrize("values", [TIES, SIGNS, HUGE], ids=["ties", "signs", "huge"])
+    @pytest.mark.parametrize(
+        "values", [TIES, SIGNS, HUGE, ONE_WORD, TWO_WORDS, WORDS, PATCHED],
+        ids=["ties", "signs", "huge", "one word", "two words", "words", "patched"],
+    )
     def test_special_values(self, values, rows_per_block, monkeypatch):
         # an odd number of rows, so the last 2-row block is partial
         matrix = _rolled(values + [0.0] * (1 - len(values) % 2))
         if rows_per_block:
             block = rows_per_block * len(matrix)
             monkeypatch.setattr(writers, "_FORMAT_BLOCK_ELEMENTS", block)
+        units = [LABELS[i % len(LABELS)] for i in range(len(matrix))]
         assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
-        assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
+        assert _distances_csv(matrix, units) == _old_distances_to_csv(matrix, units)
 
     def test_every_special_value_at_once(self):
-        matrix = _rolled(TIES + SIGNS + HUGE)
+        matrix = _rolled(TIES + SIGNS + HUGE + WORDS)
         assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
         matrix[::3, 1::2] = np.nan
         assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
@@ -427,16 +444,24 @@ class TestWritersMatchOldWriters:
             st.floats(-500, 500),
             st.integers(-8000, 8000).map(lambda i: i / 8),  # exact ties
             st.integers(-10**6, 10**6).map(lambda i: i / 1000),  # decimal ties
-            st.sampled_from(TIES + SIGNS + HUGE),
+            st.integers(-2**31 - 2, 2**31 + 2).map(lambda i: i / 100),  # k of every width
+            st.sampled_from(TIES + SIGNS + HUGE + WORDS + PATCHED),
         )
         values = np.array(data.draw(st.lists(entry, min_size=size**2, max_size=size**2)))
         matrix = values.reshape(size, size)
         nan = np.array(data.draw(st.lists(st.booleans(), min_size=size**2, max_size=size**2)))
+        label = st.one_of(st.text(max_size=9), st.sampled_from(LABELS))
+        units = data.draw(st.lists(label, min_size=size, max_size=size))
         with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
-            assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
+            assert _distances_csv(matrix, units) == _old_distances_to_csv(matrix, units)
             matrix[nan.reshape(size, size)] = np.nan
             assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
 
+
+def test_writer_tables_total_at_most_64_kib():
+    # a table per entry value (10**5 words, 800 KiB) would add to every run's RSS
+    tables = [v for v in vars(writers).values() if isinstance(v, np.ndarray)]
+    assert sum(t.nbytes for t in tables) <= 64 * 1024
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
