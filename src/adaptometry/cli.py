@@ -248,11 +248,18 @@ def _run_synth(args) -> None:
         config = replace(config, seed=args.seed)
     _write(os.path.join(args.out, "panel.csv"), panel_csv_chunks(generate_panel(config)))
 
-    regimes = {regime for _, regime in config.periods}
-    if len(regimes) == 2:
+    path = os.path.join(args.out, "contrast.csv")
+    if len({regime for _, regime in config.periods}) < 2:
+        try:  # an earlier run's contrast.csv would not describe this panel.csv
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise UsageError(f"cannot remove {path}: {exc.strerror}") from None
+    else:
         contrast = stress_contrast(config)
         _write(
-            os.path.join(args.out, "contrast.csv"),
+            path,
             ("seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed\n"
              f"{config.seed},{contrast.w_baseline:.6f},{contrast.w_stressed:.6f},"
              f"{contrast.d_max_baseline:.6f},{contrast.d_max_stressed:.6f}\n",),

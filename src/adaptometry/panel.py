@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .writers import blocks, csv_field, float_reprs
+from .writers import blocks, csv_field, label_words, repr_words, splice
 
 CSV_HEADER = ("period", "unit", "indicator_id", "indicator_name", "value")
 
@@ -338,9 +338,10 @@ def serialize_panel(panel: IndicatorPanel) -> str:
 def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
     """The long-format CSV of the panel in pieces: the header, then one text
     per block of whole units of one period (writers.blocks, a cell per
-    entry), each formatted in one pass. A value reads as an integer where it
-    is one, else as ``repr`` writes it, the shortest text that reads back as
-    it (float_reprs: exact numpy digits from 1e-2 to 1e15, repr elsewhere).
+    entry), each laid out in one grid of words. A value reads as an integer
+    where it is one, else as ``repr`` writes it, the shortest text that reads
+    back as it (writers.repr_words: exact numpy digits from 1e-2 to 1e15,
+    repr elsewhere).
 
     parse_panel reads one row per ``str.splitlines`` line and strips each
     field, so a label holding a line boundary (``\\n``, ``\\r``, ``\\x0b``,
@@ -358,29 +359,44 @@ def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
     # parse_panel drops a line starting with "#"; csv_field quotes no such field
     periods = [f'"{f}"' if f.startswith("#") else f for f in map(csv_field, panel.periods)]
     units = [csv_field(unit) for unit in panel.units]
-    indicators = [f",{ind.id},{csv_field(ind.name)}," for ind in panel.indicators]
+    indicators = label_words(
+        [_utf8(f",{ind.id},{csv_field(ind.name)},") for ind in panel.indicators], "<u4")
     return chain([",".join(CSV_HEADER) + "\n"], (
-        _panel_block([f"{period},{unit}" for unit in units[rows]], indicators, values[rows])
+        _panel_block([_utf8(f"{period},{unit}") for unit in units[rows]], indicators, values[rows])
         for period, values in zip(periods, panel.values)
         for rows in blocks(len(units), len(indicators))
     ))
 
 
-def _panel_block(prefixes: list[str], indicators: list[str], block: np.ndarray) -> str:
+def _utf8(text: str) -> bytes:
+    """``text`` in UTF-8, a lone surrogate as its 3 bytes, so that decoding
+    with "surrogatepass" gives ``text`` back."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _panel_block(prefixes: list[bytes], indicators: np.ndarray, block: np.ndarray) -> str:
     """The rows of a units x indicators block, one per cell, each line
-    ``prefix,id,name,value``: four texts per line, joined in one go. The
+    ``prefix,id,name,value``, laid out in one grid of 4-byte words (see
+    writers.label_words): per unit its prefix's words, per indicator its
+    ``,id,name,`` words, then the value's repr_words, padding dropped by one
+    translate. The values off repr_words' numpy path are spliced in. The
     block is whole units, one writers.blocks block of cells (or one unit), so
-    only one block's texts are held at once."""
+    only one block's grid and text are held at once."""
     flat = block.ravel()
-    texts = ["\n"] * (4 * flat.size)
-    texts[0::4] = [prefix for prefix in prefixes for _ in indicators]
-    texts[1::4] = indicators * len(prefixes)
-    texts[2::4] = float_reprs(flat)
-    # float.is_integer, vectorized: finite and integral
-    whole = np.flatnonzero(np.isfinite(flat) & (flat == np.trunc(flat)))
-    for k, v in zip(whole.tolist(), flat[whole].tolist()):
-        texts[4 * k + 2] = str(int(v))
-    return "".join(texts)
+    words, ok = repr_words(flat)
+    prefix = label_words(prefixes, "<u4")
+    a, b = prefix.shape[1], prefix.shape[1] + indicators.shape[1]
+    lines = np.empty((b + len(words), *block.shape), "<u4")  # a row per word of every line
+    lines[:a] = prefix.T[:, :, None]
+    lines[a:b] = indicators.T[:, None, :]
+    lines[b:] = words.reshape(len(words), *block.shape)
+    del words
+    text = lines.transpose(1, 2, 0).tobytes().translate(None, b"\xff")
+    del lines  # before the text is decoded
+    if not ok.all():  # an integral value reads as an integer
+        patches = (str(int(v)) if v.is_integer() else float.__repr__(v) for v in flat[~ok].tolist())
+        text = splice(text, map(str.encode, patches))
+    return text.decode("utf-8", "surrogatepass")
 
 
 def validate(panel: IndicatorPanel) -> ValidationReport:

@@ -33,10 +33,38 @@ _TIE_MARGIN = 1e-6
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _word_table(texts: Iterable[bytes]) -> np.ndarray:
-    """The 8-byte ``texts`` as little-endian words: the bytes of a word array
-    in "<u8" are its texts in order on any host."""
-    return np.frombuffer(b"".join(texts), "<u8")
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: high + low == a, each with at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+# the halves of each 10**s that _shortest multiplies by (see _split)
+_POW10_HIGH, _POW10_LOW = _split(_POW10.astype(float))
+
+
+def _word_table(texts: Iterable[bytes], dtype: str = "<u8") -> np.ndarray:
+    """The ``texts``, each as long as one word of ``dtype``, as little-endian
+    words: the bytes of a word array in "<u8" or "<u4" are its texts in order
+    on any host."""
+    return np.frombuffer(b"".join(texts), dtype)
+
+
+def label_words(labels: Sequence[bytes], dtype: str = "<u8") -> np.ndarray:
+    """The encoded ``labels`` as rows of words of ``dtype`` (see
+    _word_table), each padded with 0xFF bytes to as many words as the
+    longest needs."""
+    size = np.dtype(dtype).itemsize
+    width = -(-max(map(len, labels), default=0) // size)
+    padded = (label.ljust(size * width, b"\xff") for label in labels)
+    return _word_table(padded, dtype).reshape(len(labels), width)
+
+
+def splice(text: bytes, patches: Iterable[bytes]) -> bytes:
+    """``text`` with its 0xFE marks replaced by ``patches``, in order."""
+    parts = text.split(b"\xfe")
+    return b"".join([parts[0], *(a + b for a, b in zip(patches, parts[1:]))])
 
 
 # The words of _fixed_decimal_block, where 0xFF pads: no UTF-8 text holds it.
@@ -62,6 +90,21 @@ _NAN, _PATCH, _NEWLINE, _NO_TEXT = _word_table(
 )
 _DIGITS = np.uint64(2**64 - 2**16)  # all but the comma and sign slot
 _MINUS = np.uint64(0xD200)  # turns the 0xFF of the sign slot into "-"
+
+# The 4-byte words of repr_words: _WORDS[q] is q's 4 digits, _WORDS[_DOT + a]
+# "." and a's 3, then a newline, a pad and a 0xFE mark. OR-ing in column m of
+# _INT_MASK pads all but the last m of its 4 words' 16 bytes, and column m of
+# _FRAC_MASK all but the first 1 + m of its 5 words' 20 (m = 0: all of them).
+_WORDS = _word_table(chain(
+    (b"%04d" % q for q in range(10**4)),
+    (b".%03d" % a for a in range(1000)),
+    (text.ljust(4, b"\xff") for text in (b"\n", b"", b"\xfe")),
+), "<u4")
+_DOT, _LINE_END, _BLANK, _MARK = 10**4, 11000, _WORDS[11001], _WORDS[11002]
+_INT_MASK = _word_table((b"\xff" * (16 - m) + bytes(m) for m in range(17)), "<u4").reshape(17, 4).T
+_FRAC_MASK = _word_table(
+    (bytes(m + (m > 0)) + b"\xff" * (20 - m - (m > 0)) for m in range(19)), "<u4"
+).reshape(19, 5).T
 
 
 def csv_field(label: str) -> str:
@@ -134,18 +177,15 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
     entries = first if words == 1 else np.stack([first, low], -1)
 
     rows, n = block.shape
-    encoded = [label.encode() for label in labels]
-    width = -(-max(map(len, encoded), default=0) // 8)  # words per label
+    encoded = label_words([label.encode() for label in labels])
+    width = encoded.shape[1]
     lines = np.empty((rows, width + n * words + 1), "<u8")
-    padded = (label.ljust(8 * width, b"\xff") for label in encoded)
-    lines[:, :width] = _word_table(padded).reshape(rows, width)
+    lines[:, :width] = encoded
     lines[:, width:-1] = entries.reshape(rows, n * words)
     lines[:, -1] = _NEWLINE
     text = lines.tobytes().translate(None, b"\xff")
-    if slow.any():
-        parts = text.split(b"\xfe")  # row-major, as block[slow]
-        patches = (b"%.2f" % v for v in block[slow].tolist())
-        text = b"".join([parts[0], *(a + b for a, b in zip(patches, parts[1:]))])
+    if slow.any():  # the marks are row-major, as block[slow]
+        text = splice(text, (b"%.2f" % v for v in block[slow].tolist()))
     return text.decode()
 
 
@@ -163,28 +203,67 @@ def float_reprs(values: np.ndarray) -> list[str]:
     even). repr writes the digits in it that are shortest, then nearest (Gay
     1990): the multiple of 10**k nearest V for the largest k with one inside.
     float.__repr__ writes the rest: other values, a log10 that misses, inexact
-    ends, an exact tie, a nearest multiple outside (the other one is shortest).
+    ends, an exact tie, a nearest multiple outside (the other one is shortest),
+    and integral values, which repr_words writes without the ".0".
     """
     flat = np.asarray(values, dtype=float).ravel()
     return list(chain.from_iterable(_repr_pass(flat[rows]) for rows in blocks(flat.size, 1)))
 
 
 def _repr_pass(values: np.ndarray) -> list[str]:
-    ok, near, s, k = _shortest(values)  # rows not ok are blanked, then patched
-    ints, fracs = np.divmod(near, _POW10[s])
-    digits = np.maximum(s - k, 1)  # after the point
-    fracs = fracs // _POW10[np.minimum(k, s)] + _POW10[digits]  # a leading 1 marks the point
-    iw, fw = len(str(ints.max(initial=0))), int(digits.max(initial=1))
-    lines = np.full((values.size, iw + fw + 2), ord(" "), np.uint8)
-    lines[:, -1] = ord("\n")
-    _put_digits(lines, ints, range(iw - 1, -1, -1), 1)
-    _put_digits(lines, fracs, range(iw + fw, iw - 1, -1), 1)
-    lines[np.arange(values.size), iw + fw - digits] = ord(".")
-    lines[~ok, :-1] = ord(" ")
-    out = lines.tobytes().translate(None, b" ").decode("ascii").split("\n")[:-1]
-    for j, v in zip(np.flatnonzero(~ok).tolist(), values[~ok].tolist()):
+    words, ok = repr_words(values)
+    out = words.T.tobytes().translate(None, b"\xfe\xff").decode("ascii").split("\n")[:-1]
+    del words
+    patch = ~ok | (values == np.floor(values))
+    for j, v in zip(np.flatnonzero(patch).tolist(), values[patch].tolist()):
         out[j] = float.__repr__(v)
     return out
+
+
+def repr_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest digits of each of the float64 ``values`` as a column of
+    little-endian 4-byte words (see _word_table), padded with 0xFF bytes, and
+    whether each value is on the numpy path (see float_reprs): ``words.T``
+    holds one line per value.
+
+    A line is the integer part, right-aligned in as many words as the widest
+    needs, with no leading zero; "." and 3 digits; 4 words of 4 digits; a
+    newline word. The digits past the shortest count are padding, and an
+    integral value has no point at all. A value off the path is a 0xFE mark.
+    """
+    ok, near, s, k = _shortest(values)
+    # floor(v): no integer, each being a double, lies between v and digits that read back as it
+    ints = np.where(ok, values, 0.0).astype(np.int64)
+    fracs = np.where(ok, near - ints * _POW10[s], 0).view(np.uint64)
+    fracs *= _POW10[19 - s].view(np.uint64)  # 19 digits, under 2**64
+    dots = fracs // 10**16
+    fracs -= dots * 10**16
+    high = fracs // 10**8
+    fracs -= high * 10**8
+    eights = np.stack([high, fracs]).astype(np.uint32)  # "//" on uint32 is fast
+    fours = eights // 10**4
+    del fracs, high
+
+    groups = -(-len(str(ints.max(initial=0))) // 4)
+    index = np.empty((groups + 6, values.size), np.intp)  # into _WORDS, a row per word
+    index[groups] = dots
+    index[groups] += _DOT
+    index[groups + 1:-1:2] = fours
+    index[groups + 2:-1:2] = eights - fours * 10**4
+    index[-1] = _LINE_END
+    digits = np.searchsorted(_POW10[1:4 * groups], ints, side="right") + 1  # at least 1
+    for g in range(groups - 1, 0, -1):  # 4 digits a word, from the units leftwards
+        rest = ints // 10**4
+        index[g] = ints - rest * 10**4
+        ints = rest
+    index[0] = ints
+    words = np.take(_WORDS, index)
+    words[:groups] |= np.take(_INT_MASK[4 - groups:], digits, axis=1)
+    words[groups:-1] |= np.take(_FRAC_MASK, np.maximum(s - k, 0), axis=1)
+    if not ok.all():
+        words[:-1, ~ok] = _BLANK
+        words[0, ~ok] = _MARK
+    return words, ok
 
 
 def _shortest(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -192,10 +271,11 @@ def _shortest(values: np.ndarray) -> tuple[np.ndarray, ...]:
     ok = (values >= 1e-2) & (values < 1e15)  # False for NaN
     x = np.where(ok, values, 1.0)
     s = np.clip(16 - np.floor(np.log10(x)).astype(np.int64), 2, 18)
-    p = _POW10[s].astype(float)  # exact
+    ph, pl = _POW10_HIGH[s], _POW10_LOW[s]
+    p = ph + pl  # 10**s, exactly
     high = x * p
-    (xh, xl), (ph, pl) = _split(x), _split(p)
-    low = ((xh * ph - high) + xh * pl + xl * ph) + xl * pl  # x * p - high, exactly
+    xh, xl = _split(x)
+    low = ((xh * ph - high) + xh * pl + xl * ph) + xl * pl  # x * 10**s - high, exactly
     floor = np.floor(low)
     whole = high.astype(np.int64) + floor.astype(np.int64)  # floor(V): high is an integer
     frac = low - floor
@@ -211,9 +291,11 @@ def _shortest(values: np.ndarray) -> tuple[np.ndarray, ...]:
     # a multiple of 10**(k+1) is one of 10**k; the interval being under 100 wide, k >= 2
     # where top's last 2 digits are at most room, and then k - 2 is top // 100's last zeros
     top, room = whole + last, np.where(ok, last - first, -1)
-    k = (top % 10 <= room) + (top % 100 <= room).astype(np.int64)
+    tens = top // 10  # "//" and a product: "%" takes longer
+    hundreds = tens // 10
+    k = (top - 10 * tens <= room) + (top - 100 * hundreds <= room).astype(np.int64)
     at = np.flatnonzero(k == 2)
-    rest = top[at] // 100
+    rest = hundreds[at]
     for step in (8, 4, 2, 1):
         zeros = rest % 10**step == 0
         rest[zeros] //= 10**step
@@ -224,32 +306,3 @@ def _shortest(values: np.ndarray) -> tuple[np.ndarray, ...]:
     near = (2 * frac > twice) * p10 - rest  # less floor(V)
     ok &= (2 * frac != twice) & (near >= first) & (near <= last)
     return ok, near + whole, s, k
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: high + low == a, each with at most 26 significant bits."""
-    c = a * 134217729.0  # 2**27 + 1
-    high = c - (c - a)
-    return high, a - high
-
-
-def _put_digits(grid: np.ndarray, n: np.ndarray, cols: Sequence[int], keep: int) -> None:
-    """Write the nonnegative integers ``n`` in decimal into the uint8 ``grid``
-    (one row of columns per entry of ``n``) at ``cols``, listed from the units
-    digit leftwards: the first ``keep`` digits always, the others up to the
-    leading nonzero one, and spaces left of it."""
-    digits = np.empty((len(cols), *n.shape), np.uint8)  # a contiguous row per digit
-    for j in range(len(cols)):
-        if j % 9 == 0:  # 9 digits at a time in uint32, whose division is fast
-            n, part = np.divmod(n, 10**9) if len(cols) - j > 9 else (0, n)
-            part = part.astype(np.uint32, copy=False)
-        quotient = part // 10
-        np.subtract(part, 10 * quotient, out=digits[j], casting="unsafe")
-        part = quotient
-    digits += ord("0")
-    lead = np.ones(digits.shape[1:], bool)  # no nonzero digit yet, from the left
-    for j in range(len(cols) - 1, keep - 1, -1):
-        lead &= digits[j] == ord("0")
-        np.copyto(digits[j], ord(" "), where=lead)
-    for col, row in zip(cols, digits):
-        grid[..., col] = row

@@ -732,7 +732,7 @@ class TestBlasIndependence:
 
 class TestSimdIndependence:
     # numpy picks the loop of each integer gather, shift and division the CSV
-    # writer runs by the CPU's features; with AVX2 and AVX-512 switched off
+    # writers run by the CPU's features; with AVX2 and AVX-512 switched off
     # (X86_V3, X86_V4 and their groups) the CSVs must be the same bytes.
     DISABLED = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
     CHILD = (
@@ -743,18 +743,28 @@ class TestSimdIndependence:
         "sys.exit(main(sys.argv[1:]))\n"
     )
 
-    def test_reference_csvs_without_avx2_and_avx512(self, tmp_path, child_env):
+    def run_without_avx2_and_avx512(self, env: dict[str, str], *args: str) -> None:
         features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
         if not features.get("X86_V4"):
             pytest.skip("this CPU has no X86_V4 features to switch off")
-        out = tmp_path / "out"
         done = subprocess.run(
-            [sys.executable, "-c", self.CHILD, "analyze", *REFERENCE_ARGS, "--out", str(out)],
-            env={**child_env, "NPY_DISABLE_CPU_FEATURES": self.DISABLED},
+            [sys.executable, "-c", self.CHILD, *args],
+            env={**env, "NPY_DISABLE_CPU_FEATURES": self.DISABLED},
             capture_output=True, text=True, check=True, timeout=120,
         )
         assert done.stdout == "False\n"
+
+    def test_reference_csvs_without_avx2_and_avx512(self, tmp_path, child_env):
+        out = tmp_path / "out"
+        self.run_without_avx2_and_avx512(child_env, "analyze", *REFERENCE_ARGS, "--out", str(out))
         _assert_reference_csvs(out)
+
+    def test_synth_panel_without_avx2_and_avx512(self, chunks_run, tmp_path, child_env):
+        # the 200 x 50 x 4 panel of chunks_run, written by a default process
+        out = tmp_path / "out"
+        self.run_without_avx2_and_avx512(
+            child_env, "synth", "--config", str(chunks_run / "synth.cfg"), "--out", str(out))
+        assert (out / "panel.csv").read_bytes() == (chunks_run / "synth" / "panel.csv").read_bytes()
 
 
 class TestMemory:
@@ -1105,6 +1115,25 @@ class TestSynth:
         seed, wb, ws, db, ds = lines[1].split(",")
         assert float(ws) > float(wb)
         assert float(ds) > float(db)
+
+    def test_one_regime_removes_an_earlier_contrast(self, tmp_path):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        out = tmp_path / "synth-out"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "contrast.csv").exists()
+        config.write_text(SYNTH_CONFIG.replace("2020-06:stressed", "2020-06:baseline"))
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["panel.csv"]
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+
+    def test_contrast_that_cannot_be_removed_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG.replace("2020-06:stressed", "2020-06:baseline"))
+        out = tmp_path / "synth-out"
+        (out / "contrast.csv").mkdir(parents=True)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot remove {out / 'contrast.csv'}: ")
 
     def test_contrast_holds_the_regime_means_of_the_report(self, chunks_run):
         # contrast.csv builds each period's network but no distance matrix;

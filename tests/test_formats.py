@@ -137,6 +137,8 @@ def _old_serialize_panel(panel: am.IndicatorPanel) -> str:
     indicators = [f",{ind.id},{csv_field(ind.name)}," for ind in panel.indicators]
     for period, block in zip(panel.periods, panel.values):
         period = csv_field(period)
+        if period.startswith("#"):  # parse_panel drops a line that starts with "#"
+            period = f'"{period}"'
         for unit, row in zip(units, block):
             prefix = f"{period},{unit}"
             buf.write("".join([
@@ -146,11 +148,20 @@ def _old_serialize_panel(panel: am.IndicatorPanel) -> str:
     return buf.getvalue()
 
 
-# Signed zeros, subnormals, integers exact and beyond 2**53, huge values,
-# NaN and infinities, and fractions
+def _around(values) -> list[float]:
+    """Each value and the doubles one ulp below and above it."""
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+# Signed zeros, subnormals, integers exact and beyond 2**53 (1e14 on the
+# numpy path), huge values, NaN and infinities, and fractions: integer parts
+# of 1, 4, 5, 8, 9 and 15 digits, either side of a 4-digit word, and
+# fractions of 1 to 18 digits, either side of each word's digits
 PANEL_VALUES = [
     -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, np.nan, np.inf, -np.inf,
     1.0, 7.0, 100.0, -3.0, 2.0**53, 2.0**53 + 2, 1e22, 0.5, 2.675, 1e-300, 49.9, 1e15 + 0.5,
+    1e14, 9999.5, 10000.25, 12345678.9, 123456789.125, 1e15 - 0.125,
+    0.015, 0.0123, 9.999999999999998, 99.99999999999999, *_around([0.01]),
 ]
 
 
@@ -204,12 +215,17 @@ class TestPanelWriterMatchesOldWriter:
     def test_random_panels(self, shape, block, data):
         size = shape[0] * shape[1] * shape[2]
         entry = st.one_of(st.floats(), st.integers(-10**6, 10**6).map(float),
-                          st.sampled_from(PANEL_VALUES))
+                          st.floats(1e-2, 1e15, exclude_max=True), st.sampled_from(PANEL_VALUES))
         values = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)), dtype=float)
+
+        def labels(n, *more):
+            return tuple(data.draw(st.lists(st.sampled_from(LABELS + list(more)),
+                                            min_size=n, max_size=n)))
+
         panel = am.IndicatorPanel(
-            periods=tuple(f"p{k}" for k in range(shape[0])),
-            units=tuple(f"u{k}" for k in range(shape[1])),
-            indicators=tuple(am.Indicator(k, f"x{k}") for k in range(shape[2])),
+            periods=labels(shape[0], "#1", "p"),
+            units=labels(shape[1], "u"),
+            indicators=tuple(am.Indicator(k, name) for k, name in enumerate(labels(shape[2], "x"))),
             values=values.reshape(shape),
         )
         with mock.patch.object(writers, "_FORMAT_BLOCK_ELEMENTS", block):
@@ -231,11 +247,6 @@ def test_benchmark_scale_panel_matches_old_writer():
 def _reprs(values) -> list[str]:
     """The reference: float.__repr__ of each value."""
     return [float.__repr__(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
-
-
-def _around(values) -> list[float]:
-    """Each value and the doubles one ulp below and above it."""
-    return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
 
 
 class TestFloatReprs:

@@ -447,10 +447,10 @@ class TestMemory:
 
     def test_panel_csv_formats_each_block_in_one_call(self):
         # 2 periods of 300 units x 150 indicators, in blocks of 54 units: the
-        # values of each piece go to float_reprs at once, no more than a block
+        # values of each piece go to repr_words at once, no more than a block
         config = _synth_config(300, 150)
         panel = am.generate_panel(dataclasses.replace(config, periods=config.periods[:2]))
-        with mock.patch.object(panel_module, "float_reprs", wraps=panel_module.float_reprs) as spy:
+        with mock.patch.object(panel_module, "repr_words", wraps=panel_module.repr_words) as spy:
             pieces = panel_csv_chunks(panel)
             next(pieces)  # the header
             calls = []  # per piece, the number of values of each call
