@@ -13,14 +13,17 @@ an unreadable file or a bad synth config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,48 +140,49 @@ def _run_analyze(args) -> None:
     # and its edge arrays outlive it, for the report and the plots
     records: list[dict] = []
     edges: list[Edges] = []
-    units = [csv_field(unit) for unit in panel.units]
-    for result in analyze(panel, args.threshold, exclude):
-        name = f"{result.period}.csv"
-        net = result.network
-        ids = [str(i) for i in net.matrix.indicator_ids]
-        _write(os.path.join(args.out, "matrices", name),
-               matrix_csv_chunks("indicator_id", ids, net.matrix.values))
-        _write(os.path.join(args.out, "distances", name), distance_csv_chunks(result.slice, units))
-        records.append(_period_record(result))
-        edges.append((net.matrix.indicator_ids, net.edge_a, net.edge_b, net.edge_weight))
-        # else this period's network lives on while the next period's is built
-        del result, net
-    if grouped_raw is not None:
-        _write(os.path.join(args.out, "variation.csv"), (profile_to_csv(profile, flagged),))
+    with _run_dir(args.out, r"report\.json|variation\.csv|(weight|dispersion)\.svg"
+                            r"|(matrices|distances)/([^/]+\.csv)?") as write:
+        units = [csv_field(unit) for unit in panel.units]
+        for result in analyze(panel, args.threshold, exclude):
+            name = f"{result.period}.csv"
+            net = result.network
+            ids = [str(i) for i in net.matrix.indicator_ids]
+            write(f"matrices/{name}", matrix_csv_chunks("indicator_id", ids, net.matrix.values))
+            write(f"distances/{name}", distance_csv_chunks(result.slice, units))
+            records.append(_period_record(result))
+            edges.append((net.matrix.indicator_ids, net.edge_a, net.edge_b, net.edge_weight))
+            # else this period's network lives on while the next period's is built
+            del result, net
+        if grouped_raw is not None:
+            write("variation.csv", (profile_to_csv(profile, flagged),))
 
-    doc = {
-        "metadata": {
-            "tool_version": __version__,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            "input_digest": input_digest,
-            "threshold": args.threshold,
-            "excluded_indicator_ids": sorted(exclude),
-            "cv_estimator": args.cv_estimator if grouped_raw is not None else None,
-            "flag_policy": args.flag_policy if grouped_raw is not None else None,
-            "flagged_indicator_ids": flagged,
-        },
-        "periods": records,
-    }
-    _write(os.path.join(args.out, "report.json"), _report_json(doc, edges))
+        doc = {
+            "metadata": {
+                "tool_version": __version__,
+                "generated_at": datetime.now(timezone.utc).isoformat(),
+                "input_digest": input_digest,
+                "threshold": args.threshold,
+                "excluded_indicator_ids": sorted(exclude),
+                "cv_estimator": args.cv_estimator if grouped_raw is not None else None,
+                "flag_policy": args.flag_policy if grouped_raw is not None else None,
+                "flagged_indicator_ids": flagged,
+            },
+            "periods": records,
+        }
+        write("report.json", _report_json(doc, edges))
 
-    if args.plots:
-        from .plots import line_chart
+        if args.plots:
+            from .plots import line_chart
 
-        labels = [r["period"] for r in records]
-        for name, title, y_label, series in (
-            ("weight.svg", "Correlation network total weight by period", "total weight",
-             {"total weight": "weight"}),
-            ("dispersion.svg", "Dispersion estimates by period", "distance",
-             {"d_max": "d_max", "d_min": "d_min"}),
-        ):
-            lines = {label: [r[key] for r in records] for label, key in series.items()}
-            _write(os.path.join(args.out, name), (line_chart(labels, lines, title, y_label),))
+            labels = [r["period"] for r in records]
+            for name, title, y_label, series in (
+                ("weight.svg", "Correlation network total weight by period", "total weight",
+                 {"total weight": "weight"}),
+                ("dispersion.svg", "Dispersion estimates by period", "distance",
+                 {"d_max": "d_max", "d_min": "d_min"}),
+            ):
+                lines = {label: [r[key] for r in records] for label, key in series.items()}
+                write(name, (line_chart(labels, lines, title, y_label),))
 
 
 def _period_record(result: PeriodResult) -> dict:
@@ -246,24 +250,13 @@ def _run_synth(args) -> None:
     config = parse_synth_config(_read_file(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    _write(os.path.join(args.out, "panel.csv"), panel_csv_chunks(generate_panel(config)))
-
-    path = os.path.join(args.out, "contrast.csv")
-    if len({regime for _, regime in config.periods}) < 2:
-        try:  # an earlier run's contrast.csv would not describe this panel.csv
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise UsageError(f"cannot remove {path}: {exc.strerror}") from None
-    else:
-        contrast = stress_contrast(config)
-        _write(
-            path,
-            ("seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed\n"
-             f"{config.seed},{contrast.w_baseline:.6f},{contrast.w_stressed:.6f},"
-             f"{contrast.d_max_baseline:.6f},{contrast.d_max_stressed:.6f}\n",),
-        )
+    with _run_dir(args.out, r"(panel|contrast)\.csv") as write:
+        write("panel.csv", panel_csv_chunks(generate_panel(config)))
+        if len({regime for _, regime in config.periods}) > 1:
+            c = stress_contrast(config)
+            write("contrast.csv", ("seed,w_baseline,w_stressed,d_max_baseline,d_max_stressed\n"
+                                   f"{config.seed},{c.w_baseline:.6f},{c.w_stressed:.6f},"
+                                   f"{c.d_max_baseline:.6f},{c.d_max_stressed:.6f}\n",))
 
 
 def _parse_id_list(spec: str) -> set[int]:
@@ -295,25 +288,50 @@ def _read_file(path: str) -> str:
     return text
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the texts of ``chunks``, each as it comes, then rename, into a
-    parent directory made if missing, so a partly written file never appears,
-    whatever raises on the way; the file gets the mode ``open`` would give it,
-    0o666 less the umask, which the kernel applies when the temporary is made."""
-    directory = os.path.dirname(path) or "."
-    try:
-        os.makedirs(directory, exist_ok=True)
-        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+@contextlib.contextmanager
+def _run_dir(out: str, outputs: str) -> Iterator[Callable[[str, Iterable[str]], None]]:
+    """Yields ``write(relpath, chunks)``, which streams a file into a directory made
+    beside ``out`` that replaces ``out`` (a symlink's target) by renames at the end,
+    if ``out`` holds only paths the regex ``outputs`` matches; an exception removes it."""
+    if not out:
+        raise UsageError("--out is empty")
+    real = os.path.realpath(out)
+    stage = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
+    old = os.path.isdir(real)
+
+    def write(relpath: str, chunks: Iterable[str]) -> None:
+        path = os.path.join(stage, relpath)
+        try:  # directories get 0o777 and files 0o666, less the umask
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
+        except OSError as exc:
+            raise UsageError(f"cannot write {os.path.join(out, relpath)}: {exc.strerror}") from None
+
+    def fail(exc: OSError) -> None:  # os.walk ignores an unreadable directory by default
+        raise exc
+
+    try:
+        for root, dirs, files in os.walk(real, onerror=fail) if old else ():
+            for name in [os.path.join(d, "") for d in dirs] + files:
+                relpath = os.path.join(root, name)[len(real):].lstrip(os.sep)
+                if not re.fullmatch(outputs, relpath):
+                    raise UsageError(f"--out {out} holds {relpath}, which is not an output")
+        os.makedirs(stage)
+        yield write
+        if old:
+            os.rename(real, f"{stage}-old")
+        try:
+            os.rename(stage, real)
+        except OSError:
+            if old:
+                os.rename(f"{stage}-old", real)
             raise
+        shutil.rmtree(f"{stage}-old", ignore_errors=True)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _err(message: str) -> None:

@@ -81,6 +81,12 @@ def _assert_reference_csvs(out: pathlib.Path) -> None:
             assert (out / folder / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+def _tree(root: pathlib.Path) -> dict:
+    """Every path under ``root`` with its bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
 def _assert_same_outputs(a: pathlib.Path, b: pathlib.Path) -> None:
     """The same files under ``a`` and ``b``, byte for byte, ``generated_at`` aside."""
     names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
@@ -601,8 +607,11 @@ class TestAnalyze:
         (record,) = json.loads((out / "report.json").read_text())["periods"]
         assert [(e["i"], e["j"]) for e in record["edges"]] == [(2, 3)]
 
-    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
-    def test_output_files_follow_the_umask(self, panel_csv, grouped_csv, tmp_path, umask, mode):
+    @pytest.mark.parametrize("umask, mode, dir_mode", [(0o022, 0o644, 0o755), (0o027, 0o640, 0o750)],
+                             ids=["022", "027"])
+    def test_output_files_follow_the_umask(
+        self, panel_csv, grouped_csv, tmp_path, umask, mode, dir_mode
+    ):
         config = tmp_path / "synth.cfg"
         config.write_text(SYNTH_CONFIG)
         out = tmp_path / "out"
@@ -617,6 +626,11 @@ class TestAnalyze:
                  for p in out.rglob("*") if p.is_file()}
         assert len(modes) == 14
         assert modes == dict.fromkeys(modes, mode)
+        dirs = {str(p.relative_to(tmp_path)): stat.S_IMODE(p.stat().st_mode)
+                for p in [out, *out.rglob("*")] if p.is_dir()}
+        assert sorted(dirs) == ["out", "out/analyze", "out/analyze/distances",
+                                "out/analyze/matrices", "out/synth"]
+        assert dirs == dict.fromkeys(dirs, dir_mode)
 
     def test_run_leaves_the_umask_alone(self, panel_csv, grouped_csv, tmp_path, monkeypatch):
         config = tmp_path / "synth.cfg"
@@ -651,14 +665,25 @@ class TestWriteErrors:
         assert err[0].startswith(f"error: cannot write {afile / 'x'}")
         assert not list(tmp_path.rglob(".tmp-*"))
 
-    def test_failed_rename_removes_its_temporary(self, panel_csv, tmp_path, capsys):
+    # a run over an existing --out renames it aside, then renames the new one in
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_failed_swap_leaves_the_old_out(self, k, panel_csv, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
-        (out / "report.json").mkdir(parents=True)
+        assert main(["analyze", "--input", str(panel_csv), "--plots", "--out", str(out)]) == 0
+        before = _tree(out)
+        rename, calls = os.rename, []
+
+        def failing_rename(src, dst):
+            calls.append(src)
+            if len(calls) == k:
+                raise OSError(18, "Invalid cross-device link")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing_rename)
         assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot write {out / 'report.json'}: Is a directory\n"
-        )
-        assert not list(out.rglob(".tmp-*"))
+        assert capsys.readouterr().err == f"error: cannot write {out}: Invalid cross-device link\n"
+        assert _tree(out) == before
+        assert not list(tmp_path.rglob(".tmp-*"))
 
     @pytest.mark.parametrize("error,code,message", [
         (OSError(28, "No space left on device"), 2, "cannot write {}: No space left on device"),
@@ -685,7 +710,7 @@ class TestWriteErrors:
         assert not list(tmp_path.rglob(".tmp-*"))
 
     def test_unwritable_panel_label_leaves_no_out(self, tmp_path, capsys, monkeypatch):
-        # the label check runs when the pieces are asked for, before _write makes --out
+        # the label check runs when the pieces are asked for, before --out is replaced
         config = tmp_path / "synth.cfg"
         config.write_text(SYNTH_CONFIG)
         generate = cli_module.generate_panel
@@ -699,6 +724,113 @@ class TestWriteErrors:
             "so parse_panel could not read it back\n"
         )
         assert not out.exists()
+
+
+class TestRunDir:
+    """A run is built in a directory beside --out and renamed into place whole:
+    --out holds one run's files, or the earlier run's, untouched."""
+
+    def test_second_run_leaves_only_its_files(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["analyze", *REFERENCE_ARGS, "--plots", "--out", str(out)]) == 0
+        two = tmp_path / "two-periods.csv"
+        lines = (DATA / "ukraine_fears_panel.csv").read_text().splitlines(keepends=True)
+        two.write_text("".join(line for line in lines if not line.startswith(("2011", "2012"))))
+        for target in (out, fresh):
+            assert main(["analyze", "--input", str(two), "--out", str(target)]) == 0
+        assert sorted(p.name for p in (out / "matrices").iterdir()) == ["2009-08.csv", "2010-03.csv"]
+        _assert_same_outputs(fresh, out)
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    @pytest.mark.parametrize("command, entry", [
+        ("analyze", "notes.txt"),
+        ("analyze", "matrices/notes.txt"),
+        ("analyze", "distances/old/"),
+        ("analyze", ".git/"),
+        ("analyze", "panel.csv"),  # say, the panel being analyzed
+        ("synth", "report.json"),
+    ])
+    def test_foreign_entry_keeps_out(self, command, entry, panel_csv, tmp_path, capsys,
+                                     monkeypatch):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        source = ["--input", str(panel_csv)] if command == "analyze" else ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([command, *source, "--out", str(out)]) == 0
+        if entry.endswith("/"):
+            (out / entry / "x").mkdir(parents=True)
+        else:
+            (out / entry).write_text("mine\n")
+        before = _tree(out)
+
+        def refuse(*args):
+            raise AssertionError("computed before --out was checked")
+
+        monkeypatch.setattr(cli_module, "analyze", refuse)
+        monkeypatch.setattr(cli_module, "generate_panel", refuse)
+        assert main([command, *source, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds {entry}, which is not an output\n"
+        )
+        assert _tree(out) == before
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_failed_write_of_any_file_keeps_out(
+        self, k, panel_csv, grouped_csv, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        args = ["analyze", "--input", str(panel_csv), "--grouped", str(grouped_csv), "--plots",
+                "--out", str(out)]
+        assert main(args) == 0
+        before = _tree(out)
+        assert sum(v is not None for v in before.values()) == 12  # k covers every file
+        opened = []
+
+        def failing_open(path, mode="r", **kwargs):
+            if "w" in mode:
+                opened.append(pathlib.Path(path).relative_to(tmp_path))
+                if len(opened) == k:
+                    raise OSError(28, "No space left on device")
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
+        assert main(args) == 2
+        relpath = pathlib.Path(*opened[-1].parts[1:])  # below the staging directory
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / relpath}: No space left on device\n"
+        )
+        assert _tree(out) == before
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_symlinked_out_resolves_to_the_new_run(self, panel_csv, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        assert main(["analyze", "--input", str(panel_csv), "--plots", "--out", str(target)]) == 0
+        link.symlink_to(target)
+        assert main(["analyze", "--input", str(panel_csv), "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert sorted(p.name for p in target.iterdir()) == ["distances", "matrices", "report.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "panel.csv", "target"]
+
+    def test_out_that_is_a_file_is_kept(self, panel_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("mine\n")
+        assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+        assert out.read_text() == "mine\n"
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    def test_empty_out_is_a_bad_argument(self, command, panel_csv, tmp_path, capsys,
+                                         monkeypatch):
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        source = ["--input", str(panel_csv)] if command == "analyze" else ["--config", str(config)]
+        monkeypatch.chdir(tmp_path)
+        before = _tree(tmp_path)
+        assert main([command, *source, "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out is empty\n"
+        assert _tree(tmp_path) == before
 
 
 class TestBlasIndependence:
@@ -871,7 +1003,7 @@ class TestMemory:
     def test_report_outlives_every_correlation_matrix(self, panel_csv, tmp_path, monkeypatch):
         # report.json reads each period's edge arrays, so no period's n x n
         # matrix is alive when it is written
-        analyze, write = cli_module.analyze, cli_module._write
+        analyze, report_json = cli_module.analyze, cli_module._report_json
         matrices = []
         alive_at_report = []
 
@@ -880,13 +1012,12 @@ class TestMemory:
                 matrices.append(weakref.ref(result.network.matrix.values))
                 yield result
 
-        def traced_write(path, chunks):
-            if os.path.basename(path) == "report.json":
-                alive_at_report.append([ref() is not None for ref in matrices])
-            write(path, chunks)
+        def traced_report_json(doc, edges):  # runs as report.json is written
+            alive_at_report.append([ref() is not None for ref in matrices])
+            yield from report_json(doc, edges)
 
         monkeypatch.setattr(cli_module, "analyze", traced)
-        monkeypatch.setattr(cli_module, "_write", traced_write)
+        monkeypatch.setattr(cli_module, "_report_json", traced_report_json)
         assert main(["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "out")]) == 0
         assert alive_at_report == [[False] * 4]
 
@@ -1126,14 +1257,6 @@ class TestSynth:
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
         assert sorted(path.name for path in out.iterdir()) == ["panel.csv"]
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
-
-    def test_contrast_that_cannot_be_removed_exits_2(self, tmp_path, capsys):
-        config = tmp_path / "synth.cfg"
-        config.write_text(SYNTH_CONFIG.replace("2020-06:stressed", "2020-06:baseline"))
-        out = tmp_path / "synth-out"
-        (out / "contrast.csv").mkdir(parents=True)
-        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot remove {out / 'contrast.csv'}: ")
 
     def test_contrast_holds_the_regime_means_of_the_report(self, chunks_run):
         # contrast.csv builds each period's network but no distance matrix;

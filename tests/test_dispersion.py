@@ -565,7 +565,7 @@ class TestDistanceCsv:
     @pytest.mark.parametrize("tied", [False, True], ids=["random", "every row rechecked"])
     def test_memory_is_a_few_blocks(self, tied):
         # the distance matrix alone would be 3000**2 * 8 bytes = 69 MiB; each
-        # chunk is dropped as it comes, as cli._write does. Units all alike
+        # chunk is dropped as it comes, as the CLI's run writer does. Units all alike
         # have every estimate 0, so every row is rechecked.
         m, n = 3000, 4
         s = points_slice(np.full((m, n), 7.0)) if tied else random_slice(5, m=m, n=n)
