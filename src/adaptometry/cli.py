@@ -226,7 +226,7 @@ def _edges_json(
     of one block of edges (writers.blocks): json renders an int with
     int.__repr__ and a finite float with float.__repr__, and edge weights are
     finite because correlations are clipped to [-1, 1]. float_reprs gives
-    float.__repr__ of each weight (numpy digits from 1e-2 up, repr below), not
+    float.__repr__ of each weight (numpy digits from 1e-2 to 1, repr below), not
     the repr of numpy scalars, which differs."""
     k = edge_weight.size
     if not k:
@@ -292,12 +292,16 @@ def _read_file(path: str) -> str:
 def _run_dir(out: str, outputs: str) -> Iterator[Callable[[str, Iterable[str]], None]]:
     """Yields ``write(relpath, chunks)``, which streams a file into a directory made
     beside ``out`` that replaces ``out`` (a symlink's target) by renames at the end,
-    if ``out`` holds only paths the regex ``outputs`` matches; an exception removes it."""
+    if ``out`` holds only paths the regex ``outputs`` matches; an exception removes it
+    and the missing parents of ``out`` it made."""
     if not out:
         raise UsageError("--out is empty")
     real = os.path.realpath(out)
     stage = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
     old = os.path.isdir(real)
+    made = stage  # the topmost directory makedirs makes, which a failed run removes
+    while not os.path.exists(os.path.dirname(made)):
+        made = os.path.dirname(made)
 
     def write(relpath: str, chunks: Iterable[str]) -> None:
         path = os.path.join(stage, relpath)
@@ -328,10 +332,11 @@ def _run_dir(out: str, outputs: str) -> Iterator[Callable[[str, Iterable[str]], 
                 os.rename(f"{stage}-old", real)
             raise
         shutil.rmtree(f"{stage}-old", ignore_errors=True)
+        made = stage  # renamed away: the parents made now hold out
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        shutil.rmtree(made, ignore_errors=True)
 
 
 def _err(message: str) -> None:

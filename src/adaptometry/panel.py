@@ -340,8 +340,8 @@ def panel_csv_chunks(panel: IndicatorPanel) -> Iterator[str]:
     per block of whole units of one period (writers.blocks, a cell per
     entry), each laid out in one grid of words. A value reads as an integer
     where it is one, else as ``repr`` writes it, the shortest text that reads
-    back as it (writers.repr_words: exact numpy digits from 1e-2 to 1e15,
-    repr elsewhere).
+    back as it (writers.repr_words: exact numpy digits from 1e-2 to 1e4,
+    which holds every valid value from 0.01 up, repr elsewhere).
 
     parse_panel reads one row per ``str.splitlines`` line and strips each
     field, so a label holding a line boundary (``\\n``, ``\\r``, ``\\x0b``,

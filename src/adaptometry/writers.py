@@ -19,17 +19,19 @@ import numpy as np
 # 400 units and 20 indicators took 1.25 times as long as at 2**13.
 _FORMAT_BLOCK_ELEMENTS = 2**13
 
-# _fixed_decimal_block rounds y = |x| * 100 in numpy only where y < 2**31.
-# 100 is an exact double, so y is the exact product Y rounded once to nearest;
-# y < 2**31 implies Y < 2**31, so |y - Y| is at most half an ulp below 2**31,
-# 2**(30 - 52) / 2 = 2**-23. Where the fraction of y lies further than
-# _TIE_MARGIN (> 2**-23) from .5, Y is on the same side of floor(y) + .5 as y
-# and is no tie, so "%.2f", which rounds Y to nearest, writes the digits of
-# floor(y) + (fraction > .5). "%" writes every other entry.
-_FAST_LIMIT = 2.0**31
+# _fixed_decimal_block rounds y = |x| * 100 in numpy only where y < 99999,
+# so k = round(y) < 10**5, which _HIGH indexes. 100 is an exact double, so y
+# is the exact product Y rounded once to nearest; y < 2**17 implies Y < 2**17,
+# so |y - Y| is at most half an ulp below 2**17, 2**(16 - 52) / 2 = 2**-37.
+# Where the fraction of y lies further than _TIE_MARGIN (> 2**-37) from .5, Y
+# is on the same side of floor(y) + .5 as y and is no tie, so "%.2f", which
+# rounds Y to nearest, writes the digits of floor(y) + (fraction > .5). "%"
+# writes every other entry: |x| >= 999.99, which no prevalence or correlation
+# and few distances reach, and the ties.
+_FAST_LIMIT = 99999.0
 _TIE_MARGIN = 1e-6
 
-# The powers of ten float_reprs scales by, and _fixed_decimal_block counts digits by
+# The powers of ten float_reprs scales by
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
@@ -68,7 +70,7 @@ def splice(text: bytes, patches: Iterable[bytes]) -> bytes:
 
 
 # The words of _fixed_decimal_block, where 0xFF pads: no UTF-8 text holds it.
-# The tables total 17.3 KiB; one word per k < 10**5 would add 800 KiB to every
+# The tables total 8.6 KiB; one word per k < 10**5 would add 800 KiB to every
 # run's memory. An entry k = |x| * 100 < 10**5 is _LOW[k % 1000] |
 # _HIGH[k // 1000]: the comma, a sign slot, the two leading digits (0xFF for
 # leading zeros) and d.dd.
@@ -76,32 +78,21 @@ _LOW = _word_table(b",\xff\0\0%d.%02d" % divmod(r, 100) for r in range(1000))
 _HIGH = _word_table(
     b"\0\0" + (b"%d" % q if q else b"").rjust(2, b"\xff") + bytes(4) for q in range(100)
 )
-# Two words where k >= 10**5 (k <= 2**31 has at most 10 digits): the comma,
-# the sign slot, 3 slots always padded and digits 10 to 8 of k (_TOP), then
-# digits 7 to 4 (_PAIR) and d.dd; _LEADING_ZEROS[i] pads the slots left of
-# k's 3 + i digits.
-_TOP = _word_table(b"\0\0\xff\xff\xff%03d" % c for c in range(1000))
-_PAIR = _word_table(b"%02d" % j + bytes(6) for j in range(100))
-_LEADING_ZEROS = _word_table(
-    bytes(2) + b"\xff" * (10 - i) + bytes(4 + i) for i in range(8)
-).reshape(8, 2)
-_NAN, _PATCH, _NEWLINE, _NO_TEXT = _word_table(
-    text.ljust(8, b"\xff") for text in (b",", b",\xfe", b"\n", b"")
-)
-_DIGITS = np.uint64(2**64 - 2**16)  # all but the comma and sign slot
+_NAN, _PATCH, _NEWLINE = _word_table(text.ljust(8, b"\xff") for text in (b",", b",\xfe", b"\n"))
 _MINUS = np.uint64(0xD200)  # turns the 0xFF of the sign slot into "-"
 
 # The 4-byte words of repr_words: _WORDS[q] is q's 4 digits, _WORDS[_DOT + a]
-# "." and a's 3, then a newline, a pad and a 0xFE mark. OR-ing in column m of
-# _INT_MASK pads all but the last m of its 4 words' 16 bytes, and column m of
-# _FRAC_MASK all but the first 1 + m of its 5 words' 20 (m = 0: all of them).
+# "." and a's 3, then a newline, a pad and a 0xFE mark. OR-ing in
+# _INT_MASK[d] pads all but the last 1 + d bytes of the integer word, and
+# column m of _FRAC_MASK all but the first 1 + m of its 5 words' 20 (m = 0:
+# all of them).
 _WORDS = _word_table(chain(
     (b"%04d" % q for q in range(10**4)),
     (b".%03d" % a for a in range(1000)),
     (text.ljust(4, b"\xff") for text in (b"\n", b"", b"\xfe")),
 ), "<u4")
 _DOT, _LINE_END, _BLANK, _MARK = 10**4, 11000, _WORDS[11001], _WORDS[11002]
-_INT_MASK = _word_table((b"\xff" * (16 - m) + bytes(m) for m in range(17)), "<u4").reshape(17, 4).T
+_INT_MASK = _word_table((b"\xff" * (3 - d) + bytes(1 + d) for d in range(4)), "<u4")
 _FRAC_MASK = _word_table(
     (bytes(m + (m > 0)) + b"\xff" * (20 - m - (m > 0)) for m in range(19)), "<u4"
 ).reshape(19, 5).T
@@ -140,7 +131,7 @@ def matrix_csv_chunks(corner: str, labels: Sequence[str], values: np.ndarray) ->
 def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
     """Round each entry in numpy and lay out the block's whole lines in one
     grid of 8-byte words (see _word_table): per line the label's UTF-8 bytes,
-    one or two words per entry and a newline word, padded with 0xFF bytes
+    one word per entry and a newline word, padded with 0xFF bytes
     that are then dropped. "%" writes the entries marked 0xFE."""
     nan = np.isnan(block)
     with np.errstate(over="ignore"):  # an inf product only fails the guard
@@ -151,37 +142,23 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
     frac = y - whole  # exact
     slow = (np.abs(frac - 0.5) <= _TIE_MARGIN) | ~(fast | nan)
     fast &= ~slow
-    k = whole.astype(np.uint32) + (frac > 0.5)  # at most 2**31
+    k = whole.astype(np.uint32) + (frac > 0.5)  # at most 99999
 
     q = k // 1000  # "//" and a product: "%" takes 4 times as long
-    low = _LOW[(k - 1000 * q).astype(np.intp)]
-    words = 1 if k.max(initial=0) < 10**5 else 2  # per entry, as the widest needs
-    if words == 1:
-        low |= _HIGH[q.astype(np.intp)]
-        first = low
-    else:
-        top = k // 10**7
-        mid = q // 100
-        pad = _LEADING_ZEROS[np.searchsorted(_POW10[3:10], k, side="right")]
-        first = _TOP[top.astype(np.intp)] | pad[..., 0] | (low & 0xFFFF)
-        low &= _DIGITS
-        low |= pad[..., 1] | _PAIR[(mid - 100 * top).astype(np.intp)]
-        low |= _PAIR[(q - 100 * mid).astype(np.intp)] << np.uint64(16)
-        low[~fast] = _NO_TEXT
+    entries = _LOW[(k - 1000 * q).astype(np.intp)] | _HIGH[q.astype(np.intp)]
     neg = np.signbit(block)
     if neg.any():  # no distance is negative
-        first -= neg * _MINUS
+        entries -= neg * _MINUS
     odd = ~fast  # overwritten whatever their sign
     if odd.any():
-        first[odd] = np.where(slow[odd], _PATCH, _NAN)
-    entries = first if words == 1 else np.stack([first, low], -1)
+        entries[odd] = np.where(slow[odd], _PATCH, _NAN)
 
     rows, n = block.shape
     encoded = label_words([label.encode() for label in labels])
     width = encoded.shape[1]
-    lines = np.empty((rows, width + n * words + 1), "<u8")
+    lines = np.empty((rows, width + n + 1), "<u8")
     lines[:, :width] = encoded
-    lines[:, width:-1] = entries.reshape(rows, n * words)
+    lines[:, width:-1] = entries
     lines[:, -1] = _NEWLINE
     text = lines.tobytes().translate(None, b"\xff")
     if slow.any():  # the marks are row-major, as block[slow]
@@ -191,8 +168,10 @@ def _fixed_decimal_block(labels: Sequence[str], block: np.ndarray) -> str:
 
 def float_reprs(values: np.ndarray) -> list[str]:
     """``[float.__repr__(v) for v in values.tolist()]`` for a float64 array,
-    from exact numpy digits where 1e-2 <= v < 1e15, one block of values at a
+    from exact numpy digits where 1e-2 <= v < 1e4, one block of values at a
     time (see blocks), so a call on any size holds one block's temporaries.
+    That range holds every panel value from 0.01 up (parse_panel takes
+    [0, 100]) and every edge weight from 0.01 up (|r| <= 1).
 
     There repr is positional and V = v * 10**s is in [1e16, 1e17), s = 16 -
     floor(log10 v); Dekker's product with the exact double 10**s gives floor(V)
@@ -226,10 +205,10 @@ def repr_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whether each value is on the numpy path (see float_reprs): ``words.T``
     holds one line per value.
 
-    A line is the integer part, right-aligned in as many words as the widest
-    needs, with no leading zero; "." and 3 digits; 4 words of 4 digits; a
-    newline word. The digits past the shortest count are padding, and an
-    integral value has no point at all. A value off the path is a 0xFE mark.
+    A line is the integer part, right-aligned in one word with no leading
+    zero; "." and 3 digits; 4 words of 4 digits; a newline word. The digits
+    past the shortest count are padding, and an integral value has no point
+    at all. A value off the path is a 0xFE mark.
     """
     ok, near, s, k = _shortest(values)
     # floor(v): no integer, each being a double, lies between v and digits that read back as it
@@ -244,22 +223,16 @@ def repr_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fours = eights // 10**4
     del fracs, high
 
-    groups = -(-len(str(ints.max(initial=0))) // 4)
-    index = np.empty((groups + 6, values.size), np.intp)  # into _WORDS, a row per word
-    index[groups] = dots
-    index[groups] += _DOT
-    index[groups + 1:-1:2] = fours
-    index[groups + 2:-1:2] = eights - fours * 10**4
-    index[-1] = _LINE_END
-    digits = np.searchsorted(_POW10[1:4 * groups], ints, side="right") + 1  # at least 1
-    for g in range(groups - 1, 0, -1):  # 4 digits a word, from the units leftwards
-        rest = ints // 10**4
-        index[g] = ints - rest * 10**4
-        ints = rest
+    index = np.empty((7, values.size), np.intp)  # into _WORDS, a row per word
     index[0] = ints
+    index[1] = dots
+    index[1] += _DOT
+    index[2:-1:2] = fours
+    index[3:-1:2] = eights - fours * 10**4
+    index[-1] = _LINE_END
     words = np.take(_WORDS, index)
-    words[:groups] |= np.take(_INT_MASK[4 - groups:], digits, axis=1)
-    words[groups:-1] |= np.take(_FRAC_MASK, np.maximum(s - k, 0), axis=1)
+    words[0] |= _INT_MASK[np.searchsorted(_POW10[1:4], ints, side="right")]  # digits less 1
+    words[1:-1] |= np.take(_FRAC_MASK, np.maximum(s - k, 0), axis=1)
     if not ok.all():
         words[:-1, ~ok] = _BLANK
         words[0, ~ok] = _MARK
@@ -268,7 +241,7 @@ def repr_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _shortest(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Where the numpy path holds, the multiple of 10**k nearest V, with s and k."""
-    ok = (values >= 1e-2) & (values < 1e15)  # False for NaN
+    ok = (values >= 1e-2) & (values < 1e4)  # False for NaN
     x = np.where(ok, values, 1.0)
     s = np.clip(16 - np.floor(np.log10(x)).astype(np.int64), 2, 18)
     ph, pl = _POW10_HIGH[s], _POW10_LOW[s]

@@ -803,6 +803,23 @@ class TestRunDir:
         assert _tree(out) == before
         assert not list(tmp_path.rglob(".tmp-*"))
 
+    def test_failed_run_removes_the_parents_it_made(self, panel_csv, tmp_path, capsys,
+                                                     monkeypatch):
+        (tmp_path / "fx").mkdir()
+        out = tmp_path / "fx" / "a" / "b" / "out"
+
+        def failing_open(path, mode="r", **kwargs):
+            if "w" in mode:
+                raise OSError(28, "No space left on device")
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
+        assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}{os.sep}")
+        assert err.endswith(": No space left on device\n")
+        assert _tree(tmp_path / "fx") == {}  # neither out nor the a/b it made for it
+
     def test_symlinked_out_resolves_to_the_new_run(self, panel_csv, tmp_path):
         target, link = tmp_path / "target", tmp_path / "link"
         assert main(["analyze", "--input", str(panel_csv), "--plots", "--out", str(target)]) == 0

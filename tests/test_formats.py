@@ -153,9 +153,9 @@ def _around(values) -> list[float]:
     return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
 
 
-# Signed zeros, subnormals, integers exact and beyond 2**53 (1e14 on the
-# numpy path), huge values, NaN and infinities, and fractions: integer parts
-# of 1, 4, 5, 8, 9 and 15 digits, either side of a 4-digit word, and
+# Signed zeros, subnormals, integers exact and beyond 2**53 (1e14 past the
+# numpy path's 1e4), huge values, NaN and infinities, and fractions: integer parts
+# of 1, 4, 5, 8, 9 and 15 digits, either side of the numpy path's 4-digit word, and
 # fractions of 1 to 18 digits, either side of each word's digits
 PANEL_VALUES = [
     -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, np.nan, np.inf, -np.inf,
@@ -260,6 +260,12 @@ class TestFloatReprs:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(1e-2, 1e15, exclude_max=True), max_size=40))
     def test_numpy_path_domain(self, values):
+        # [1e-2, 1e4) on the numpy path, [1e4, 1e15) off it
+        assert float_reprs(np.array(values, dtype=float)) == _reprs(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-2, 1e4, exclude_max=True), max_size=40))
+    def test_numpy_path(self, values):
         assert float_reprs(np.array(values, dtype=float)) == _reprs(values)
 
     @pytest.mark.parametrize("values", [
@@ -270,8 +276,9 @@ class TestFloatReprs:
         _around(np.arange(0.0, 101.0)),
         [99.99999999999999, 9.999999999999998, 0.9999999999999999, 1e15 - 0.125],
         [0.0, -0.0, np.inf, -np.inf, np.nan, -1.5, -0.7, 0.009999999999999998],
+        _around([1e4, 9999.999999999998]),
     ], ids=["domain ends", "powers of two", "powers of ten", "short decimals", "integers",
-            "round up to a power of ten", "off the numpy path"])
+            "round up to a power of ten", "off the numpy path", "numpy path end"])
     def test_targeted(self, values):
         assert float_reprs(np.array(values)) == _reprs(values)
 
@@ -364,20 +371,23 @@ def _neighbours(values):
 # ties whose binary values lie just below, so "%" rounds them down.
 TIES = _neighbours([0.125, 0.375, 1.005, 2.675, 0.5, 2.5, -0.125, -2.675])
 SIGNS = [-0.0, 0.0, -1e-9, 1e-9, -0.004, 0.004, 5e-324, -5e-324]
-# |x| * 100 at, just below or above the numpy path's limit of 2**31, other
-# large values, and infinities
+# |x| * 100 at, just below or above 2**31 and 2**31 / 100, other large
+# values, and infinities: all past the numpy path, so "%" writes them
 HUGE = _neighbours([2.0**31, 2.0**31 / 10**4, 2.0**31 / 100 - 0.005]) + [
     3e9, -3e9, 1e300, -1.7e308, np.inf, -np.inf,
 ]
 
 
-# k = |x| * 100 either side of where an entry takes another digit, a second
-# 8-byte word (10**5) or "%" (2**31), with negatives. A block's entries take
-# the words its largest k needs: 99999 in ONE_WORD, 10**5 in TWO_WORDS, whose
-# rows, as WORDS', mix one-word and two-word magnitudes.
-ONE_WORD = [sign * k / 100 for sign in (1, -1) for k in (999, 1000, 9999, 10**4, 99999)] + [-0.0]
-TWO_WORDS = ONE_WORD + [1000.0, -1000.0]
-WORDS = TWO_WORDS + [sign * k / 100 for sign in (1, -1) for k in (10**8, 2**31 - 1, 2**31 + 1)]
+# k = |x| * 100 either side of where an entry takes another digit, with
+# negatives. NUMPY_EDGE ends at k = 99999, the largest the numpy path writes
+# in its one word per entry; PAST_EDGE adds 10**5, which "%" writes, and
+# WORDS k of up to 10 digits, either side of 2**31.
+NUMPY_EDGE = [sign * k / 100 for sign in (1, -1) for k in (999, 1000, 9999, 10**4, 99999)] + [-0.0]
+PAST_EDGE = NUMPY_EDGE + [1000.0, -1000.0]
+WORDS = PAST_EDGE + [sign * k / 100 for sign in (1, -1) for k in (10**8, 2**31 - 1, 2**31 + 1)]
+# y = |x| * 100 either side of _FAST_LIMIT (99999.0) and of 99999.5, which
+# rounds to k = 10**5
+FAST_LIMIT = _neighbours([999.99, -999.99, 999.995, -999.995]) + [999.997, -999.997]
 # every entry of _rolled(PATCHED) is written by "%"
 PATCHED = [0.125, 2.675, -1.005, np.inf, 3e9]
 # unit labels of 0 to 17 UTF-8 bytes, some multibyte, and labels csv_field quotes
@@ -389,8 +399,8 @@ class TestWritersMatchOldWriters:
 
     @pytest.mark.parametrize("rows_per_block", [None, 1, 2], ids=["one block", "1 row", "2 rows"])
     @pytest.mark.parametrize(
-        "values", [TIES, SIGNS, HUGE, ONE_WORD, TWO_WORDS, WORDS, PATCHED],
-        ids=["ties", "signs", "huge", "one word", "two words", "words", "patched"],
+        "values", [TIES, SIGNS, HUGE, NUMPY_EDGE, PAST_EDGE, WORDS, FAST_LIMIT, PATCHED],
+        ids=["ties", "signs", "huge", "one word", "past numpy", "words", "fast limit", "patched"],
     )
     def test_special_values(self, values, rows_per_block, monkeypatch):
         # an odd number of rows, so the last 2-row block is partial
@@ -403,7 +413,7 @@ class TestWritersMatchOldWriters:
         assert _distances_csv(matrix, units) == _old_distances_to_csv(matrix, units)
 
     def test_every_special_value_at_once(self):
-        matrix = _rolled(TIES + SIGNS + HUGE + WORDS)
+        matrix = _rolled(TIES + SIGNS + HUGE + WORDS + FAST_LIMIT)
         assert _distances_csv(matrix) == _old_distances_to_csv(matrix)
         matrix[::3, 1::2] = np.nan
         assert matrix_to_csv(_matrix(matrix)) == _old_matrix_to_csv(_matrix(matrix))
@@ -456,7 +466,7 @@ class TestWritersMatchOldWriters:
             st.integers(-8000, 8000).map(lambda i: i / 8),  # exact ties
             st.integers(-10**6, 10**6).map(lambda i: i / 1000),  # decimal ties
             st.integers(-2**31 - 2, 2**31 + 2).map(lambda i: i / 100),  # k of every width
-            st.sampled_from(TIES + SIGNS + HUGE + WORDS + PATCHED),
+            st.sampled_from(TIES + SIGNS + HUGE + WORDS + FAST_LIMIT + PATCHED),
         )
         values = np.array(data.draw(st.lists(entry, min_size=size**2, max_size=size**2)))
         matrix = values.reshape(size, size)
